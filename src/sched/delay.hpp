@@ -26,8 +26,11 @@ struct DelayReport {
   std::vector<Time> path_actual;
 };
 
-/// Compute the report. Throws InternalError if the table fails to execute
-/// on some path (validate first when in doubt).
+/// Compute the report. A path's table delay is read from the sink's row
+/// alone (the sink is active on every path), so this checks only that
+/// every path activates some sink entry and throws InternalError when one
+/// does not. Any other incoherence goes unnoticed here: that is
+/// validate_table's job, so validate first when in doubt.
 DelayReport delay_report(const FlatGraph& fg,
                          const std::vector<AltPath>& paths,
                          const std::vector<PathSchedule>& schedules,

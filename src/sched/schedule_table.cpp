@@ -71,47 +71,25 @@ std::vector<TableEntry> ScheduleTable::conflicting_entries(
 
 std::vector<TableEntry> ScheduleTable::matching(TaskId t,
                                                 const Cube& label) const {
-  CPS_REQUIRE(t < rows_.size(), "task id out of range");
-  const Row& row = rows_[t];
   std::vector<TableEntry> out;
-  if (row.all_narrow && label.narrow()) {
-    // Row-level prefilter: a label deciding none of the conditions the
-    // row's columns mention can only match the unconditional column.
-    const std::uint64_t pos = label.pos_bits();
-    const std::uint64_t neg = label.neg_bits();
-    if ((row.mention_union & (pos | neg)) == 0) {
-      const auto it = row.by_column.find(Cube::top());
-      if (it != row.by_column.end()) out.push_back(row.entries[it->second]);
-      return out;
-    }
-    for (const TableEntry& e : row.entries) {
-      if ((e.column.pos_bits() & ~pos) != 0 ||
-          (e.column.neg_bits() & ~neg) != 0) {
-        continue;  // label does not imply the column
-      }
-      out.push_back(e);
-    }
-    return out;
-  }
-  for (const TableEntry& e : row.entries) {
-    if (label.implies(e.column)) out.push_back(e);
-  }
+  for_each_matching(t, label,
+                    [&out](const TableEntry& e) { out.push_back(e); });
   return out;
 }
 
 std::optional<TableEntry> ScheduleTable::activation(
     TaskId t, const Cube& label) const {
   std::optional<TableEntry> found;
-  for (const TableEntry& e : matching(t, label)) {
-    if (found) {
-      CPS_ASSERT(found->start == e.start && found->resource == e.resource,
-                 "ambiguous activation for task " + fg_->task(t).name +
-                     " under label " + label.to_string() +
-                     " (requirement 2 violated)");
-      continue;
+  for_each_matching(t, label, [&](const TableEntry& e) {
+    if (!found) {
+      found = e;
+      return;
     }
-    found = e;
-  }
+    CPS_ASSERT(found->start == e.start && found->resource == e.resource,
+               "ambiguous activation for task " + fg_->task(t).name +
+                   " under label " + label.to_string() +
+                   " (requirement 2 violated)");
+  });
   return found;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cpg/flat_graph.hpp"
+#include "support/error.hpp"
 
 namespace cps {
 
@@ -66,6 +67,14 @@ class ScheduleTable {
                                               Time start,
                                               PeId resource) const;
 
+  /// Visit, in insertion order and without allocating, every entry of `t`
+  /// whose column is implied by the label — the query matching() and
+  /// activation() are built on. A row none of whose columns mentions a
+  /// condition the label decides is answered by its unconditional cell
+  /// alone.
+  template <typename Fn>
+  void for_each_matching(TaskId t, const Cube& label, Fn&& fn) const;
+
   /// All entries of `t` whose column is implied by the label (on a
   /// requirement-2-clean table, all agree on one decision).
   std::vector<TableEntry> matching(TaskId t, const Cube& label) const;
@@ -108,5 +117,31 @@ class ScheduleTable {
   const FlatGraph* fg_;
   std::vector<Row> rows_;
 };
+
+template <typename Fn>
+void ScheduleTable::for_each_matching(TaskId t, const Cube& label,
+                                      Fn&& fn) const {
+  CPS_REQUIRE(t < rows_.size(), "task id out of range");
+  const Row& row = rows_[t];
+  if (row.all_narrow && label.narrow()) {
+    const std::uint64_t pos = label.pos_bits();
+    const std::uint64_t neg = label.neg_bits();
+    if ((row.mention_union & (pos | neg)) == 0) {
+      const auto it = row.by_column.find(Cube::top());
+      if (it != row.by_column.end()) fn(row.entries[it->second]);
+      return;
+    }
+    for (const TableEntry& e : row.entries) {
+      if ((e.column.pos_bits() & ~pos) == 0 &&
+          (e.column.neg_bits() & ~neg) == 0) {
+        fn(e);
+      }
+    }
+    return;
+  }
+  for (const TableEntry& e : row.entries) {
+    if (label.implies(e.column)) fn(e);
+  }
+}
 
 }  // namespace cps

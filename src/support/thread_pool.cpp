@@ -231,7 +231,9 @@ bool ThreadPool::try_pop_tagged(const void* tag, Task* out) {
 
 void ThreadPool::run_task(Task& task) {
   task.fn();
-  executed_.fetch_add(1, std::memory_order_relaxed);
+  // A group task counts itself, before it releases the group's waiter
+  // (TaskGroup::submit), so a snapshot taken once wait() returns balances.
+  if (task.tag == nullptr) executed_.fetch_add(1, std::memory_order_relaxed);
   if (active_.fetch_sub(1) == 1 && pending_.load() == 0) {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
     idle_cv_.notify_all();
@@ -388,6 +390,8 @@ void TaskGroup::submit(std::function<void()> fn, TaskPriority priority) {
                          // soon as it observes pending_ == 0 under the
                          // mutex, which happens-after this unlock.
                          std::lock_guard<std::mutex> lock(mutex_);
+                         pool_->executed_.fetch_add(
+                             1, std::memory_order_relaxed);
                          if (--pending_ == 0) cv_.notify_all();
                        },
                        this},

@@ -1,13 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "atm/oam.hpp"
+#include "gen/arch_gen.hpp"
+#include "gen/random_cpg.hpp"
 #include "models/fig1.hpp"
+#include "reference_table_sim.hpp"
+#include "sched/delay.hpp"
 #include "sched/driver.hpp"
 #include "sched/table_sim.hpp"
+#include "support/error.hpp"
+#include "support/random.hpp"
 #include "test_util.hpp"
 
 namespace cps {
 namespace {
 
+using testing::reference_execute_table;
 using testing::small_arch;
 
 class TableSimTest : public ::testing::Test {
@@ -29,11 +43,45 @@ TEST_F(TableSimTest, ValidTableExecutesCleanlyOnEveryPath) {
   }
 }
 
-TEST_F(TableSimTest, DelayMatchesDelayReport) {
+TEST_F(TableSimTest, DelayReportThrowsWhenAPathActivatesNoSinkEntry) {
+  // Drop every sink cell the last path's label selects: delay_report reads
+  // the sink's row alone and must refuse the table rather than guess.
+  const FlatGraph& fg = result_.flat_graph();
+  const TaskId sink = fg.sink_task();
+  const Cube& victim = result_.paths.back().label;
+  ScheduleTable broken(fg);
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    for (const TableEntry& e : result_.table.row(t)) {
+      if (t == sink && victim.implies(e.column)) continue;
+      broken.add_entry(t, e.column, e.start, e.resource);
+    }
+  }
+  EXPECT_THROW(
+      delay_report(fg, result_.paths, result_.path_schedules, broken),
+      InternalError);
+}
+
+TEST_F(TableSimTest, DelayReportReadsTheFirstMatchingSinkEntry) {
+  // On an incoherent sink row (two applicable cells, different times) the
+  // report still agrees with the simulator, whose first match decides.
+  const FlatGraph& fg = result_.flat_graph();
+  const TaskId sink = fg.sink_task();
+  ScheduleTable ambiguous(fg);
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    for (const TableEntry& e : result_.table.row(t)) {
+      ambiguous.add_entry(t, e.column, e.start, e.resource);
+    }
+  }
+  const CondId c = g_.conditions().id_of("C");
+  for (const Cube& column : {Cube::top(), Cube(Literal{c, true})}) {
+    ambiguous.add_entry(sink, column, 1000, fg.task(sink).resource);
+  }
+  ASSERT_GT(ambiguous.row(sink).size(), result_.table.row(sink).size());
+  const DelayReport report =
+      delay_report(fg, result_.paths, result_.path_schedules, ambiguous);
   for (std::size_t i = 0; i < result_.paths.size(); ++i) {
-    const TableExecution exec =
-        execute_table(result_.flat_graph(), result_.table, result_.paths[i]);
-    EXPECT_EQ(exec.delay, result_.delays.path_actual[i]);
+    EXPECT_EQ(report.path_actual[i],
+              execute_table(fg, ambiguous, result_.paths[i]).delay);
   }
 }
 
@@ -132,6 +180,237 @@ TEST(TableSim, KnowledgeViolationDetected) {
     if (!exec.ok) violation_found = true;
   }
   EXPECT_TRUE(violation_found);
+}
+
+// --- Mutual exclusion on hand-built tables ---------------------------------
+
+/// One independent process placed by hand: `name` on `pe` for `duration`,
+/// activated unconditionally at `start`.
+struct HandSlot {
+  std::string name;
+  PeId pe;
+  Time duration;
+  Time start;
+};
+
+/// Build a condition-free CPG of the given independent processes on
+/// small_arch(), activate each at its start, and execute the table on the
+/// single path. Returns the exclusion violations ("... overlap on ...")
+/// after checking the whole violation list against the reference.
+std::vector<std::string> overlap_violations(
+    const std::vector<HandSlot>& slots) {
+  CpgBuilder b(small_arch());
+  for (const HandSlot& s : slots) b.add_process(s.name, s.pe, s.duration);
+  const Cpg g = b.build();
+  const FlatGraph fg = FlatGraph::expand(g);
+  const auto paths = enumerate_paths(g);
+  EXPECT_EQ(paths.size(), 1u);
+
+  ScheduleTable table(fg);
+  Time end = 0;
+  for (const HandSlot& s : slots) {
+    table.add_entry(fg.task_of_process(g.process_by_name(s.name)),
+                    Cube::top(), s.start, s.pe);
+    end = std::max(end, s.start + s.duration);
+  }
+  table.add_entry(fg.source_task(), Cube::top(), 0,
+                  fg.task(fg.source_task()).resource);
+  table.add_entry(fg.sink_task(), Cube::top(), end,
+                  fg.task(fg.sink_task()).resource);
+
+  const TableExecution exec = execute_table(fg, table, paths.front());
+  EXPECT_EQ(exec.violations,
+            reference_execute_table(fg, table, paths.front()).violations);
+  std::vector<std::string> out;
+  for (const std::string& v : exec.violations) {
+    if (v.find(" overlap on ") != std::string::npos) out.push_back(v);
+  }
+  EXPECT_EQ(exec.ok, exec.violations.empty());
+  return out;
+}
+
+constexpr PeId kCpu1 = 0;  // small_arch(): cpu1, cpu2, hw, bus
+constexpr PeId kHw = 2;
+
+TEST(TableSimExclusion, OverlapOnProcessorIsReportedOnce) {
+  EXPECT_EQ(overlap_violations({{"P1", kCpu1, 3, 0}, {"P2", kCpu1, 4, 2}}),
+            std::vector<std::string>{"tasks P1 and P2 overlap on cpu1"});
+}
+
+TEST(TableSimExclusion, TouchingSlotsDoNotOverlap) {
+  EXPECT_TRUE(
+      overlap_violations({{"P1", kCpu1, 3, 0}, {"P2", kCpu1, 2, 3}}).empty());
+  // Listed the other way round, so the later slot has the lower id.
+  EXPECT_TRUE(
+      overlap_violations({{"P1", kCpu1, 2, 3}, {"P2", kCpu1, 3, 0}}).empty());
+}
+
+TEST(TableSimExclusion, ZeroDurationActivation) {
+  // Strictly inside [2, 6): an overlap.
+  EXPECT_EQ(overlap_violations({{"P1", kCpu1, 4, 2}, {"Z", kCpu1, 0, 4}}),
+            std::vector<std::string>{"tasks P1 and Z overlap on cpu1"});
+  EXPECT_EQ(overlap_violations({{"Z", kCpu1, 0, 4}, {"P1", kCpu1, 4, 2}}),
+            std::vector<std::string>{"tasks Z and P1 overlap on cpu1"});
+  // At the slot's start or end: none, whichever has the lower id.
+  EXPECT_TRUE(
+      overlap_violations({{"P1", kCpu1, 4, 2}, {"Z", kCpu1, 0, 2}}).empty());
+  EXPECT_TRUE(
+      overlap_violations({{"Z", kCpu1, 0, 2}, {"P1", kCpu1, 4, 2}}).empty());
+  EXPECT_TRUE(
+      overlap_violations({{"P1", kCpu1, 4, 2}, {"Z", kCpu1, 0, 6}}).empty());
+}
+
+TEST(TableSimExclusion, HardwareRunsInParallel) {
+  ASSERT_FALSE(small_arch().pe(kHw).sequential());
+  EXPECT_TRUE(
+      overlap_violations({{"P1", kHw, 5, 0}, {"P2", kHw, 5, 1}}).empty());
+}
+
+TEST(TableSimExclusion, ThreeMutualOverlapsInIdOrder) {
+  // Start order is the reverse of id order; the messages still come in
+  // (lower id, higher id) order, naming the lower id first.
+  EXPECT_EQ(overlap_violations({{"A", kCpu1, 6, 4},
+                                {"B", kCpu1, 7, 2},
+                                {"C", kCpu1, 8, 0},
+                                {"D", kCpu1, 1, 20}}),
+            (std::vector<std::string>{"tasks A and B overlap on cpu1",
+                                      "tasks A and C overlap on cpu1",
+                                      "tasks B and C overlap on cpu1"}));
+}
+
+// --- Seeded models: the reference oracle and the delay report -------------
+
+/// Fig. 1, two ATM OAM modes and seeded random CPGs with 2-18 paths over
+/// random architectures, all with condition broadcasts on. Each model is
+/// co-synthesized and its result handed to `fn`.
+void for_each_model(const std::function<void(const CoSynthesisResult&)>& fn) {
+  std::vector<std::pair<std::string, std::unique_ptr<Cpg>>> models;
+  models.emplace_back("fig1", std::make_unique<Cpg>(build_fig1_cpg()));
+  const auto archs = oam_table2_architectures();
+  for (const int mode : {1, 3}) {
+    models.emplace_back(
+        "atm mode " + std::to_string(mode) + " " + archs.back().label(),
+        std::make_unique<Cpg>(
+            build_oam_mode_cpg(mode, archs.back(), OamMapping{})));
+  }
+  const std::size_t path_counts[] = {2, 3, 4, 6, 9, 12, 18};
+  for (std::uint64_t seed = 1; seed <= 7; ++seed) {
+    Rng rng(seed * 7919);
+    const Architecture arch = generate_random_architecture(rng);
+    RandomCpgParams params;
+    params.process_count = 40;
+    params.path_count = path_counts[seed - 1];
+    models.emplace_back(
+        "random seed " + std::to_string(seed),
+        std::make_unique<Cpg>(generate_random_cpg(arch, params, rng)));
+  }
+  for (const auto& [name, g] : models) {
+    SCOPED_TRACE(name);
+    const CoSynthesisResult r = schedule_cpg(*g);
+    EXPECT_TRUE(r.flat_graph().broadcasts_enabled());
+    fn(r);
+  }
+}
+
+TEST(TableSimModels, DelayMatchesDelayReport) {
+  for_each_model([](const CoSynthesisResult& r) {
+    ASSERT_EQ(r.delays.path_actual.size(), r.paths.size());
+    Time delta_max = 0;
+    for (std::size_t i = 0; i < r.paths.size(); ++i) {
+      const TableExecution exec =
+          execute_table(r.flat_graph(), r.table, r.paths[i]);
+      EXPECT_TRUE(exec.ok);
+      EXPECT_EQ(r.delays.path_actual[i], exec.delay);
+      delta_max = std::max(delta_max, exec.delay);
+    }
+    EXPECT_EQ(r.delays.delta_max, delta_max);
+  });
+}
+
+/// Copy of `table` with `count` distinct cells' start times shifted by a
+/// seeded non-zero offset (clamped at 0). With `clash` set, one seeded row
+/// also gains a cell at another time under `true`, `c0` or `!c0`,
+/// whichever the row lacks: an ambiguous activation (req. 2) on the paths
+/// both cells apply to.
+ScheduleTable perturb(const ScheduleTable& table, Rng& rng,
+                      std::size_t count, bool clash) {
+  const FlatGraph& fg = table.flat_graph();
+  std::vector<std::pair<TaskId, std::size_t>> cells;
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    for (std::size_t i = 0; i < table.row(t).size(); ++i) {
+      cells.emplace_back(t, i);
+    }
+  }
+  rng.shuffle(cells);
+  cells.resize(std::min(count, cells.size()));
+  ScheduleTable out(fg);
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    const auto& row = table.row(t);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      Time start = row[i].start;
+      if (std::find(cells.begin(), cells.end(), std::make_pair(t, i)) !=
+          cells.end()) {
+        Time shift = rng.uniform_int(-20, 19);
+        if (shift >= 0) ++shift;
+        start = std::max<Time>(0, start + shift);
+      }
+      out.add_entry(t, row[i].column, start, row[i].resource);
+    }
+  }
+  if (clash) {
+    const TaskId t = static_cast<TaskId>(rng.index(fg.task_count()));
+    const Time start = rng.uniform_int(0, 60);
+    for (const Cube& column : {Cube::top(), Cube(Literal{0, true}),
+                               Cube(Literal{0, false})}) {
+      if (out.add_entry(t, column, start, fg.task(t).resource) ==
+          AddEntryResult::kAdded) {
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(TableSimModels, PerturbedTablesMatchReference) {
+  std::size_t executions = 0;
+  std::size_t invalid = 0;
+  std::size_t overlaps = 0;
+  std::size_t ambiguous = 0;
+  Rng rng(20240611);
+  for_each_model([&](const CoSynthesisResult& r) {
+    const FlatGraph& fg = r.flat_graph();
+    for (int trial = 0; trial < 64; ++trial) {
+      const ScheduleTable table =
+          perturb(r.table, rng, 1 + static_cast<std::size_t>(trial % 2),
+                  /*clash=*/trial % 4 == 3);
+      for (const AltPath& path : r.paths) {
+        const TableExecution got = execute_table(fg, table, path);
+        const TableExecution want = reference_execute_table(fg, table, path);
+        ASSERT_EQ(got.ok, want.ok);
+        ASSERT_EQ(got.delay, want.delay);
+        ASSERT_EQ(got.violations, want.violations);
+        for (TaskId t = 0; t < fg.task_count(); ++t) {
+          const Slot& a = got.schedule.slot(t);
+          const Slot& b = want.schedule.slot(t);
+          ASSERT_TRUE(a.start == b.start && a.end == b.end &&
+                      a.resource == b.resource)
+              << fg.task(t).name;
+        }
+        ++executions;
+        if (!got.ok) ++invalid;
+        for (const std::string& v : got.violations) {
+          if (v.find(" overlap on ") != std::string::npos) ++overlaps;
+          if (v.find(" ambiguous ") != std::string::npos) ++ambiguous;
+        }
+      }
+    }
+  });
+  // The perturbations must exercise both outcomes, the exclusion check and
+  // the ambiguity check.
+  EXPECT_GT(invalid, 0u);
+  EXPECT_LT(invalid, executions);
+  EXPECT_GT(overlaps, 0u);
+  EXPECT_GT(ambiguous, 0u);
 }
 
 }  // namespace
