@@ -64,11 +64,6 @@ int main(int argc, char** argv) try {
   config.cpg.path_count = cli.get_count("paths", 1);
   config.deadline_ms = static_cast<double>(cli.get_count("deadline-ms", 0));
   config.max_retries = cli.get_count("retries", 0);
-  // Each graph is this sweep's unit of parallelism: per-item speculative
-  // merges would additionally fan out onto the process-wide shared pool,
-  // oversubscribing the cores and polluting the parallel-efficiency
-  // columns (the produced tables are identical either way).
-  config.synthesis.merge.execution = MergeExecution::kSerial;
   const std::string ready = cli.get_string("ready");
   if (ready == "linear") {
     config.synthesis.merge.ready = ReadySelection::kLinearScan;

@@ -40,10 +40,6 @@ BatchResult run_size(std::size_t nodes, std::size_t graphs,
   config.cpg.process_count = nodes;
   config.cpg.path_count = paths;
   config.synthesis.merge.ready = ready;
-  // The batch already parallelizes across graphs; keep per-item merges
-  // serial so the engine-comparison timings are not skewed by the shared
-  // speculation pool (identical tables either way).
-  config.synthesis.merge.execution = MergeExecution::kSerial;
   return run_batch(config);
 }
 

@@ -133,7 +133,6 @@ int main(int argc, char** argv) try {
   workload.base_seed = static_cast<std::uint64_t>(cli.get_count("seed", 0));
   workload.cpg.process_count = cli.get_count("nodes", 1);
   workload.cpg.path_count = cli.get_count("paths", 1);
-  workload.synthesis.merge.execution = MergeExecution::kSerial;
 
   LoadGenConfig load;
   load.socket_path = cli.get_string("socket");

@@ -17,9 +17,8 @@
 // vector and are stable for the graph's lifetime. The cache must not
 // outlive the FlatGraph it memoizes and is not thread-safe; use one cache
 // per engine/merge invocation (the batch driver gives each worker its own
-// graphs, and the speculative merger hands its pool workers no cache at
-// all — their engines fall back to private per-run caches — so a cache is
-// never shared across threads).
+// graphs, and each trie subtree job owns its cache, so a cache is never
+// shared across threads).
 #pragma once
 
 #include <cstddef>

@@ -100,17 +100,20 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
   w.field("delta_m", static_cast<std::int64_t>(item.delta_m));
   w.field("delta_max", static_cast<std::int64_t>(item.delta_max));
   w.field("increase_percent", item.increase_percent);
+  const MergeStats& stats = item.merge;
   w.key("merge").begin_object();
-  w.field("backsteps", item.merge.backsteps);
-  w.field("adjustments", item.merge.adjustments);
-  w.field("locks", item.merge.locks);
-  w.field("conflicts", item.merge.conflicts);
-  w.field("conflict_moves", item.merge.conflict_moves);
-  w.field("unresolved_conflicts", item.merge.unresolved_conflicts);
-  w.field("relaxed_locks", item.merge.relaxed_locks);
-  w.field("column_clashes", item.merge.column_clashes);
-  w.field("speculative_hits", item.merge.speculative_hits);
-  w.field("speculative_misses", item.merge.speculative_misses);
+  w.field("backsteps", stats.backsteps);
+  w.field("adjustments", stats.adjustments);
+  w.field("locks", stats.locks);
+  w.field("conflicts", stats.conflicts);
+  w.field("conflict_moves", stats.conflict_moves);
+  w.field("unresolved_conflicts", stats.unresolved_conflicts);
+  w.field("relaxed_locks", stats.relaxed_locks);
+  w.field("column_clashes", stats.column_clashes);
+  // Always 0; still written so serve responses keep their bytes (see
+  // MergeStats).
+  w.field("speculative_hits", stats.speculative_hits);
+  w.field("speculative_misses", stats.speculative_misses);
   w.end_object();
   if (options.include_resume_counters) {
     w.key("cover_cache").begin_object();
@@ -125,7 +128,6 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
     w.field("runs", item.workspace.runs);
     w.field("reuse_hits", item.workspace.reuse_hits);
     w.field("resumes", item.workspace.resumes);
-    w.field("full_reuses", item.workspace.full_reuses);
     w.field("from_scratch", item.workspace.from_scratch);
     w.field("resumed_steps", item.workspace.resumed_steps);
     w.end_object();
@@ -175,8 +177,8 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
 // The exact key is the canonical graph encoding followed by every option
 // field that affects a *serialized item*: not just the schedule/table
 // (priority policy, engine, merge order, seeds, path budget) but also
-// counter-shaping knobs (merge execution mode decides the speculative
-// counters; the decomposition target decides PathTreeStats). Interrupt
+// counter-shaping knobs (the decomposition target decides
+// PathTreeStats). Interrupt
 // limits (deadline, step budget, cancel) are deliberately absent — a
 // tripped item is never ok, and only ok items are cached. Index and seed
 // are absent too: that is the point of content addressing — the same
@@ -200,15 +202,13 @@ std::uint64_t read_u64(std::string_view in, std::size_t at) {
 std::string exact_key_encoding(const Cpg& g,
                                const CoSynthesisOptions& synthesis) {
   std::string key = canonical_encoding(g);
-  key.append("OPT1");
+  key.append("OPT2");
   const auto u8 = [&key](std::uint8_t v) {
     key.push_back(static_cast<char>(v));
   };
   u8(static_cast<std::uint8_t>(synthesis.path_priority));
   u8(static_cast<std::uint8_t>(synthesis.merge.selection));
   u8(static_cast<std::uint8_t>(synthesis.merge.ready));
-  u8(static_cast<std::uint8_t>(synthesis.merge.execution));
-  u8(static_cast<std::uint8_t>(synthesis.merge.resume));
   u8(synthesis.merge.trace ? 1 : 0);
   u8(synthesis.validate ? 1 : 0);
   u8(static_cast<std::uint8_t>(synthesis.on_budget));
@@ -224,7 +224,7 @@ std::string exact_key_encoding(const Cpg& g,
 // patterns for exact round-trips) plus the rendered CSV. Identity fields
 // (index, seed) and attempt/timing fields are excluded — the former come
 // from the replaying request, the latter are wall-clock.
-constexpr std::uint64_t kPayloadVersion = 1;
+constexpr std::uint64_t kPayloadVersion = 2;
 
 std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   std::string out;
@@ -246,16 +246,17 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   append_u64(out, static_cast<std::uint64_t>(item.delta_m));
   append_u64(out, static_cast<std::uint64_t>(item.delta_max));
   bits(item.increase_percent);
-  append_u64(out, item.merge.backsteps);
-  append_u64(out, item.merge.adjustments);
-  append_u64(out, item.merge.locks);
-  append_u64(out, item.merge.conflicts);
-  append_u64(out, item.merge.conflict_moves);
-  append_u64(out, item.merge.unresolved_conflicts);
-  append_u64(out, item.merge.relaxed_locks);
-  append_u64(out, item.merge.column_clashes);
-  append_u64(out, item.merge.speculative_hits);
-  append_u64(out, item.merge.speculative_misses);
+  const MergeStats& stats = item.merge;
+  append_u64(out, stats.backsteps);
+  append_u64(out, stats.adjustments);
+  append_u64(out, stats.locks);
+  append_u64(out, stats.conflicts);
+  append_u64(out, stats.conflict_moves);
+  append_u64(out, stats.unresolved_conflicts);
+  append_u64(out, stats.relaxed_locks);
+  append_u64(out, stats.column_clashes);
+  append_u64(out, stats.speculative_hits);
+  append_u64(out, stats.speculative_misses);
   append_u64(out, item.cover_cache.hits);
   append_u64(out, item.cover_cache.misses);
   append_u64(out, item.cover_cache.entries);
@@ -263,7 +264,6 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   append_u64(out, item.workspace.runs);
   append_u64(out, item.workspace.reuse_hits);
   append_u64(out, item.workspace.resumes);
-  append_u64(out, item.workspace.full_reuses);
   append_u64(out, item.workspace.from_scratch);
   append_u64(out, item.workspace.resumed_steps);
   append_u64(out, item.workspace.checkpoints);
@@ -277,8 +277,8 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
 
 bool decode_cached_item(std::string_view in, BatchItem* item,
                         std::string* csv) {
-  // 1 code byte + 35 u64 fields (version, 33 scalars, csv length).
-  constexpr std::size_t kFixed = 1 + 35 * 8;
+  // 1 code byte + 34 u64 fields (version, 32 scalars, csv length).
+  constexpr std::size_t kFixed = 1 + 34 * 8;
   if (in.size() < kFixed || read_u64(in, 0) != kPayloadVersion) return false;
   std::size_t at = 8;
   item->code = static_cast<ErrorCode>(static_cast<unsigned char>(in[at]));
@@ -305,16 +305,17 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
   item->delta_m = static_cast<Time>(u64());
   item->delta_max = static_cast<Time>(u64());
   item->increase_percent = dbl();
-  item->merge.backsteps = u64();
-  item->merge.adjustments = u64();
-  item->merge.locks = u64();
-  item->merge.conflicts = u64();
-  item->merge.conflict_moves = u64();
-  item->merge.unresolved_conflicts = u64();
-  item->merge.relaxed_locks = u64();
-  item->merge.column_clashes = u64();
-  item->merge.speculative_hits = u64();
-  item->merge.speculative_misses = u64();
+  MergeStats& stats = item->merge;
+  stats.backsteps = u64();
+  stats.adjustments = u64();
+  stats.locks = u64();
+  stats.conflicts = u64();
+  stats.conflict_moves = u64();
+  stats.unresolved_conflicts = u64();
+  stats.relaxed_locks = u64();
+  stats.column_clashes = u64();
+  stats.speculative_hits = u64();
+  stats.speculative_misses = u64();
   item->cover_cache.hits = u64();
   item->cover_cache.misses = u64();
   item->cover_cache.entries = u64();
@@ -322,7 +323,6 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
   item->workspace.runs = u64();
   item->workspace.reuse_hits = u64();
   item->workspace.resumes = u64();
-  item->workspace.full_reuses = u64();
   item->workspace.from_scratch = u64();
   item->workspace.resumed_steps = u64();
   item->workspace.checkpoints = u64();
@@ -388,12 +388,12 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       // is single-threaded and sharing one across pool workers would both
       // race and make the per-item reuse counters depend on scheduling
       // (breaking the byte-identical JSON guarantee). Inner parallelism —
-      // subtree jobs and speculative merge adjustments — rides the shared
-      // batch runtime via schedule_pool, with the trie decomposition pinned
-      // to a fixed frontier so the split (and with it every per-item
-      // counter) cannot depend on pool size. Items do not retain their path
-      // vectors — thousand-graph batches would otherwise carry
-      // O(paths × depth) dead weight apiece.
+      // the subtree jobs — rides the shared batch runtime via
+      // schedule_pool, with the trie decomposition pinned to a fixed
+      // frontier so the split (and with it every per-item counter) cannot
+      // depend on pool size. Items do not retain their path vectors —
+      // thousand-graph batches would otherwise carry O(paths × depth) dead
+      // weight apiece.
       CoSynthesisOptions synthesis = config.synthesis;
       synthesis.workspace = nullptr;
       synthesis.schedule_threads = 1;
@@ -518,11 +518,10 @@ BatchResult run_batch(const BatchConfig& config) {
     } else {
       // One runtime for everything. Whole items are kLow so the stealable
       // backlog of graphs never starves inner work: an item's subtree
-      // jobs (kNormal) and speculative merge adjustments (kHigh) always
-      // jump the queue, and idle workers fall back to stealing the next
-      // graph. The calling thread participates in parallel_for, so the
-      // pool only needs threads - 1 workers to reach the requested
-      // parallelism.
+      // jobs (kNormal) always jump the queue, and idle workers fall back
+      // to stealing the next graph. The calling thread participates in
+      // parallel_for, so the pool only needs threads - 1 workers to reach
+      // the requested parallelism.
       ThreadPool pool(threads - 1);
       pool.parallel_for(
           config.count,
@@ -571,8 +570,6 @@ std::string batch_result_to_json(const BatchResult& result,
           to_string(result.config.synthesis.path_scheduling));
   w.field("path_selection",
           to_string(result.config.synthesis.merge.selection));
-  w.field("merge_execution",
-          to_string(result.config.synthesis.merge.execution));
   w.field("validate", result.config.synthesis.validate);
   w.end_object();
 

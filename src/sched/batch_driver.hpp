@@ -5,9 +5,9 @@
 // allows". This driver is the scaling substrate: ONE work-stealing
 // runtime (support/thread_pool) co-synthesizes N random CPGs in parallel
 // and also runs each item's inner parallelism — guard-trie subtree jobs
-// and speculative merge adjustments are submitted to the same pool at
-// higher priorities, so nested work saturates the machine instead of
-// serializing inside items or oversubscribing it with per-item pools.
+// are submitted to the same pool at a higher priority, so nested work
+// saturates the machine instead of serializing inside items or
+// oversubscribing it with per-item pools.
 // Each graph derives from a deterministic per-task seed (base_seed +
 // index) and each item pins its trie decomposition (a fixed subtree
 // frontier, independent of pool size), so results are byte-identical
@@ -109,14 +109,11 @@ struct BatchItem {
   Time delta_max = 0;
   double increase_percent = 0.0;
   MergeStats merge;
-  /// Per-path scheduling cover-cache counters (deterministic per seed; the
-  /// merge's own cache is timing-dependent under speculative execution and
-  /// deliberately not exported here).
+  /// Per-path scheduling cover-cache counters (deterministic per seed).
   CoverCacheStats cover_cache;
   /// Per-path scheduling engine-workspace counters (same determinism
   /// contract as cover_cache: each item runs on its own workspace, so the
-  /// counters are a pure function of the seed; the merge-side workspace
-  /// split is timing-dependent under speculation and not exported).
+  /// counters are a pure function of the seed).
   WorkspaceStats workspace;
   /// Guard-trie scheduling counters (PathScheduling::kTree). Items pin
   /// their trie decomposition to a fixed subtree frontier (independent of
@@ -181,8 +178,8 @@ struct BatchResult {
 
 /// Run one item of the batch (exposed for tests and custom harnesses).
 /// `runtime` is the shared work-stealing pool the item's inner subtree
-/// jobs and speculative merge adjustments ride on; nullptr runs them
-/// inline on the calling thread — same decomposition, same results.
+/// jobs ride on; nullptr runs them inline on the calling thread — same
+/// decomposition, same results.
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
                          ThreadPool* runtime = nullptr);
 

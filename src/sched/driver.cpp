@@ -407,10 +407,8 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
     decompose = false;
   }
 
-  // One work-stealing runtime for the whole call: subtree jobs, and —
-  // unless the caller pinned merge.pool/merge.threads — the merge's
-  // speculative workers ride the same pool, whether it came from the
-  // caller (batch driver) or is owned here.
+  // One work-stealing runtime for the subtree jobs, whether it came from
+  // the caller (batch driver) or is owned here.
   ThreadPool* runtime = options.schedule_pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (runtime == nullptr && decompose && threads > 1) {
@@ -434,13 +432,8 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
                             : run_serial_stage(g, *flat, options, rng, tree);
 
   const auto t3 = clock_type::now();
-  MergeOptions merge_opts = options.merge;
-  if (merge_opts.pool == nullptr && merge_opts.threads == 0 &&
-      runtime != nullptr) {
-    merge_opts.pool = runtime;
-  }
   MergeResult merged =
-      merge_schedules(*flat, stage.paths, stage.schedules, merge_opts);
+      merge_schedules(*flat, stage.paths, stage.schedules, options.merge);
   const auto t4 = clock_type::now();
   if (!merged.ok) {
     if (is_interrupt(merged.code)) {

@@ -36,9 +36,8 @@ enum class BudgetAction : std::uint8_t { kThrow, kBound };
 /// kTree (production) schedules the *guard trie* (cpg/paths PathTree):
 /// leaves are visited in the same depth-first order as the path list, but
 /// each leaf's engine run resumes from a checkpoint of the previous
-/// leaf's run at their shared guard prefix (EngineHistory, generalized
-/// from lock-set to guard-assignment divergence), and independent
-/// subtrees can be dispatched to thread-pool workers. Schedules, the
+/// leaf's run at their shared guard prefix (EngineHistory), and
+/// independent subtrees can be dispatched to thread-pool workers. Schedules, the
 /// merged table and batch JSON are byte-identical to kList at every
 /// thread count.
 ///
@@ -148,10 +147,9 @@ struct CoSynthesisOptions {
   /// every value.
   std::size_t schedule_threads = 1;
   /// Optional externally owned pool — the unified work-stealing runtime —
-  /// for tree-mode subtree dispatch AND (unless merge.pool/merge.threads
-  /// say otherwise) the merge's speculative workers: one pool serves
-  /// every nesting level, so a batch of tree-scheduled items saturates
-  /// the machine instead of oversubscribing it. When set it replaces
+  /// for tree-mode subtree dispatch: one pool serves every nesting level,
+  /// so a batch of tree-scheduled items saturates the machine instead of
+  /// oversubscribing it. When set it replaces
   /// `schedule_threads` for sizing — the parallelism is the pool's
   /// workers plus the participating calling thread. Must outlive the
   /// call. nullptr = the flow spawns workers per call when the resolved
@@ -211,10 +209,8 @@ struct CoSynthesisResult {
   /// are a pure function of the decomposition — no dependence on which
   /// worker ran which job.
   WorkspaceStats workspace;
-  /// Aggregated engine-workspace counters of the merge (walking thread +
-  /// speculative workers): checkpoint resumes, full reuses, resumed
-  /// steps. Timing-dependent under speculative execution (see
-  /// MergeResult::workspace), hence kept out of byte-identical outputs.
+  /// Engine-workspace counters of the merge's adjustment runs (see
+  /// MergeResult::workspace).
   WorkspaceStats merge_workspace;
   /// Guard-trie scheduling counters (see PathTreeStats for the
   /// determinism contract). Zero under PathScheduling::kList.

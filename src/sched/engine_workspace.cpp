@@ -18,22 +18,4 @@ const char* to_string(EngineResume r) {
   return "?";
 }
 
-std::uint64_t lock_set_fingerprint(
-    const std::vector<std::optional<TaskLock>>& locks) {
-  // FNV-1a over (task, start, resource) of every present lock. Order is
-  // the vector order, so equal lock sets hash equal deterministically.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (std::size_t t = 0; t < locks.size(); ++t) {
-    if (!locks[t]) continue;
-    mix(t);
-    mix(static_cast<std::uint64_t>(locks[t]->start));
-    mix(locks[t]->resource);
-  }
-  return h;
-}
-
 }  // namespace cps

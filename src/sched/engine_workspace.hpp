@@ -9,26 +9,19 @@
 // ready heaps and knowledge words, the private cover cache — alive across
 // runs so repeated `run_list_scheduler` calls only re-`assign` into warm
 // capacity. One workspace serves one thread: the serial driver and the
-// merge walk own one as a plain member, speculative merge workers get
-// per-worker slots (support/thread_pool's WorkerLocal).
+// merge walk own one as a plain member, each trie subtree job its own.
 //
 // On top of the workspace, EngineHistory records a *checkpoint stream*
-// during a run: the request-independent engine state at (a thinned subset
-// of) the committed time steps. A later run on the same graph can then
-// resume from the latest checkpoint that provably precedes any influence
-// of the way the new request differs from the recorded one, instead of
-// rescheduling from t=0. Two kinds of difference are supported:
-//
-//  * a differing rule-3 *lock set* (same label/active/priority) — the
-//    classic incremental-rescheduling win for the merge phase, where
-//    adjacent back-step adjustments of the same path differ only in a
-//    small lock-set delta;
-//  * an *extended guard assignment* (different path label, and with it
-//    different active sets and priorities) — the guard-trie win for
-//    per-path scheduling, where sibling alternative paths replay
-//    identically until the first divergent condition value becomes known
-//    on some resource (knowledge rule), so a leaf resumes from the
-//    previous leaf's checkpoint at their shared trie prefix.
+// during a lock-free run: the request-independent engine state at (a
+// thinned subset of) the committed time steps. A later run on the same
+// graph with a different *guard assignment* (different path label, and
+// with it different active sets and priorities) can then resume from the
+// latest checkpoint that provably precedes any influence of that
+// difference, instead of rescheduling from t=0 — the guard-trie win for
+// per-path scheduling, where sibling alternative paths replay identically
+// until the first divergent condition value becomes known on some
+// resource (knowledge rule), so a leaf resumes from the previous leaf's
+// checkpoint at their shared trie prefix.
 //
 // A checkpoint deliberately stores no engine state at all — just a
 // position into the run's append-only *start-event log* (schedule slots
@@ -36,17 +29,16 @@
 // step is a pure function of the log prefix). Restoring replays that
 // prefix into freshly initialized state and rebuilds everything
 // request-dependent — pending counts, ready heaps, act times, knowledge
-// words, lock structures — from the *new* request, which is what makes
-// one stream servable to requests with different active sets and keeps
-// recording cost near zero. Resumed runs are byte-identical to
-// from-scratch runs (equivalence-tested); the knob is EngineResume with
-// kFromScratch retained as the reference.
+// words — from the *new* request, which is what makes one stream
+// servable to requests with different active sets and keeps recording
+// cost near zero. Resumed runs are byte-identical to from-scratch runs
+// (equivalence-tested); the knob is EngineResume with kFromScratch
+// retained as the reference.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "cond/cover_cache.hpp"
@@ -59,13 +51,6 @@ namespace cps {
 struct TaskLock {
   Time start = 0;
   PeId resource = 0;
-
-  friend bool operator==(const TaskLock& a, const TaskLock& b) {
-    return a.start == b.start && a.resource == b.resource;
-  }
-  friend bool operator!=(const TaskLock& a, const TaskLock& b) {
-    return !(a == b);
-  }
 };
 
 /// Ready-task selection strategy.
@@ -82,11 +67,11 @@ const char* to_string(ReadySelection s);
 
 /// Whether an engine run may resume from a recorded checkpoint stream.
 ///
-/// kCheckpoint (production) resumes when the request matches a recorded
-/// run up to its lock set and the first divergent lock provably cannot
-/// influence the prefix; otherwise it falls back to a full run (and
-/// re-records). kFromScratch ignores any history entirely — the reference
-/// behavior, retained for equivalence tests and ablation.
+/// kCheckpoint (production) resumes a lock-free request when its guard
+/// assignment provably cannot influence a recorded prefix; otherwise it
+/// falls back to a full run (and re-records). kFromScratch ignores any
+/// history entirely — the reference behavior, retained for equivalence
+/// tests and ablation.
 enum class EngineResume : std::uint8_t { kFromScratch, kCheckpoint };
 
 const char* to_string(EngineResume r);
@@ -108,10 +93,6 @@ using ReadyHeap =
     std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyCompare>;
 
 /// Counters of one workspace (accumulated across the runs it served).
-/// The serial driver's and the serial merge walk's counters are
-/// deterministic; under speculative merge execution the inline-vs-worker
-/// split depends on timing, so aggregated merge-side counters may vary
-/// with thread count (the schedule tables never do).
 struct WorkspaceStats {
   /// Engine runs served by this workspace.
   std::size_t runs = 0;
@@ -119,9 +100,6 @@ struct WorkspaceStats {
   std::size_t reuse_hits = 0;
   /// Checkpoint-mode runs resumed from a recorded checkpoint.
   std::size_t resumes = 0;
-  /// Checkpoint-mode runs whose lock set matched the recorded run exactly
-  /// (the recorded result was returned without stepping the engine).
-  std::size_t full_reuses = 0;
   /// Checkpoint-mode runs that found no usable checkpoint.
   std::size_t from_scratch = 0;
   /// Committed time steps skipped by resuming (vs rescheduling from t=0).
@@ -133,7 +111,6 @@ struct WorkspaceStats {
     runs += o.runs;
     reuse_hits += o.reuse_hits;
     resumes += o.resumes;
-    full_reuses += o.full_reuses;
     from_scratch += o.from_scratch;
     resumed_steps += o.resumed_steps;
     checkpoints += o.checkpoints;
@@ -146,7 +123,6 @@ struct WorkspaceStats {
     runs -= o.runs;
     reuse_hits -= o.reuse_hits;
     resumes -= o.resumes;
-    full_reuses -= o.full_reuses;
     from_scratch -= o.from_scratch;
     resumed_steps -= o.resumed_steps;
     checkpoints -= o.checkpoints;
@@ -172,26 +148,23 @@ struct StartEvent {
 /// A checkpoint is just a position in the start-event log plus the clock:
 /// recording one costs three scalar stores, and restore replays the log
 /// prefix into freshly initialized engine state. The replay is what lets
-/// one checkpoint stream serve requests that differ in their lock set
-/// *or* in their whole guard assignment (active sets and priorities
-/// included) — nothing request-dependent is ever stored.
+/// one checkpoint stream serve requests that differ in their whole guard
+/// assignment (active sets and priorities included) — nothing
+/// request-dependent is ever stored.
 struct EngineCheckpoint {
   Time now = 0;
   std::size_t steps = 0;    ///< committed steps up to and incl. this one
   std::size_t log_pos = 0;  ///< EngineHistory::log entries committed
 };
 
-/// Recorded run of one (graph, label, active, priority) request: the lock
-/// set it ran with, the outcome, per-task first-startable times,
-/// per-condition first-known times, and a thinned stream of checkpoints.
-/// Owned by the caller and handed to the engine via
-/// EngineRequest::history; the engine validates before trusting it and
-/// re-records on every run. A later run may resume when it matches the
-/// record exactly up to its lock set (the merge keeps one history per
-/// alternative path), or — with empty lock sets on both sides — when only
-/// its guard assignment diverged (the tree driver chains one history
-/// across the leaves of the guard trie). Not thread-safe: one history
-/// belongs to one thread at a time.
+/// Recorded lock-free run of one (graph, label, active, priority) request:
+/// the outcome, per-task first-startable times, per-condition first-known
+/// times, and a thinned stream of checkpoints. Owned by the caller and
+/// handed to the engine via EngineRequest::history; the engine validates
+/// before trusting it and re-records on every lock-free run. A later
+/// lock-free run may resume when only its guard assignment diverged (the
+/// tree driver chains one history across the leaves of the guard trie).
+/// Not thread-safe: one history belongs to one thread at a time.
 struct EngineHistory {
   /// Upper bound on live checkpoints; when reached, every second one is
   /// dropped and the recording stride doubles (log-structured thinning),
@@ -202,29 +175,24 @@ struct EngineHistory {
 
   bool valid = false;
 
-  /// Caller hint: record checkpoints from the very first run. Runs whose
-  /// history may be rerun by someone else (speculative merge jobs, whose
-  /// commit re-runs with the by-then-grown lock set on a miss) set this;
-  /// the recording then happens off the walk's critical path. Without it,
-  /// checkpoint recording is demand-driven: the first run stores only the
-  /// cheap per-run metadata (identity, locks, act, outcome — enough for
-  /// full reuse), and per-step recording starts once a rerun with the
-  /// same identity has actually been observed (see `record`). This keeps
-  /// the serial merge free of recording overhead on workloads where every
-  /// path is adjusted exactly once.
+  /// Caller hint: record checkpoints from the very first run (a chain
+  /// seeded from the schedule cache expects its leaves to resume).
+  /// Without it, checkpoint recording is demand-driven: the first run
+  /// stores only the cheap per-run metadata (identity, act, outcome), and
+  /// per-step recording starts once a sibling guard assignment with a
+  /// plausible resume has actually been observed (see `record`).
   bool eager = false;
-  /// Demand latch, engine-maintained: a run with matching identity but a
-  /// different lock set arrived, so reruns happen here and recording pays.
+  /// Demand latch, engine-maintained: a sibling guard assignment arrived
+  /// and could resume, so reruns happen here and recording pays.
   bool record = false;
 
-  // Identity of the recorded request (everything but the locks). The
-  // graph is identified by its canonical *content* digest, not the
-  // process-local uid: histories may cross requests — and, via the
-  // schedule cache's prefix tier, processes — so "same graph" must mean
-  // "same model". Safe because a history never holds pointers into the
-  // graph (unlike EngineWorkspace's address-keyed cover cache, which
-  // stays uid-bound) and the engine verifies task_count/label/active/
-  // priority content before resuming.
+  // Identity of the recorded request. The graph is identified by its
+  // canonical *content* digest, not the process-local uid: histories may
+  // cross requests — and, via the schedule cache's prefix tier,
+  // processes — so "same graph" must mean "same model". Safe because a
+  // history never holds pointers into the graph (unlike EngineWorkspace's
+  // address-keyed cover cache, which stays uid-bound) and the engine
+  // verifies the digest and task count before resuming.
   Digest128 graph_digest;
   std::size_t task_count = 0;
   Cube label;
@@ -233,8 +201,6 @@ struct EngineHistory {
   bool enforce_knowledge = true;
 
   // The recorded run.
-  std::vector<std::optional<TaskLock>> locks;
-  std::uint64_t lock_fingerprint = 0;
   /// Per task: time its last active predecessor completed (the first
   /// moment it could possibly start); Time max when it never happened.
   std::vector<Time> act;
@@ -244,13 +210,7 @@ struct EngineHistory {
   /// between two guard assignments cannot start before some divergent
   /// condition is known on its resource.
   std::vector<Time> cond_known;
-  /// Max duration over active tasks (lock-influence horizon), >= 1.
-  Time max_duration = 1;
   bool feasible = false;
-  PathSchedule final_schedule;
-  std::optional<TaskId> offending_lock;
-  std::string reason;
-  std::size_t total_steps = 0;
 
   // Start-event log of the recorded run (committed task starts in start
   // order) and the checkpoint stream of positions into it. A resume
@@ -269,11 +229,6 @@ struct EngineHistory {
     since_record = 0;
   }
 };
-
-/// Deterministic fingerprint of a lock set (quick inequality filter; the
-/// engine still compares exactly before reusing anything).
-std::uint64_t lock_set_fingerprint(
-    const std::vector<std::optional<TaskLock>>& locks);
 
 /// Reusable engine-side storage. Default-constructed cold; the engine
 /// warms it on first use and re-assigns (capacity-preserving) on every

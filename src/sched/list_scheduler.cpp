@@ -13,22 +13,6 @@ namespace {
 
 constexpr Time kInf = std::numeric_limits<Time>::max();
 
-/// Lock of task `t` in a lock vector that may be empty (= no locks).
-const std::optional<TaskLock>& lock_at(
-    const std::vector<std::optional<TaskLock>>& locks, TaskId t) {
-  static const std::optional<TaskLock> kNone;
-  return locks.empty() ? kNone : locks[t];
-}
-
-bool lock_sets_equal(const std::vector<std::optional<TaskLock>>& a,
-                     const std::vector<std::optional<TaskLock>>& b,
-                     std::size_t task_count) {
-  for (TaskId t = 0; t < task_count; ++t) {
-    if (lock_at(a, t) != lock_at(b, t)) return false;
-  }
-  return true;
-}
-
 bool any_lock(const std::vector<std::optional<TaskLock>>& locks) {
   for (const auto& l : locks) {
     if (l.has_value()) return true;
@@ -113,18 +97,15 @@ class Engine {
 
   // ---- checkpoint resume (EngineResume::kCheckpoint).
 
-  bool history_matches(const EngineHistory& h) const;
   bool history_guard_matches(const EngineHistory& h) const;
-  /// Earliest time the new lock set can influence the recorded run: every
-  /// checkpoint strictly before it restores a state the new run provably
-  /// reaches unchanged (see the prefix-equality argument below).
-  Time divergence_limit(const EngineHistory& h) const;
-  /// Same bound for a run differing in its whole guard assignment (label,
-  /// active set, priorities) instead of its lock set.
+  /// Earliest time the new request's guard assignment (label, active set,
+  /// priorities) can influence the recorded run: every checkpoint strictly
+  /// before it restores a state the new run provably reaches unchanged
+  /// (see the prefix-equality argument below).
   Time guard_divergence_limit(const EngineHistory& h) const;
   void restore_checkpoint(const EngineHistory& h, const EngineCheckpoint& ck);
   void maybe_record(Time now, std::size_t steps);
-  void finalize_history(const EngineResult& out, std::size_t steps);
+  void finalize_history(bool feasible);
 
   // ---- shared machinery.
 
@@ -150,7 +131,6 @@ class Engine {
   CoverCache* cache_ = nullptr;
   bool recording_ = false;     ///< history metadata maintained this run
   bool record_ckpts_ = false;  ///< per-step checkpoints recorded this run
-  Time max_duration_ = 1;
 
   // Workspace buffers under their historical names. The engine
   // deliberately runs its hot loops against these engine-owned snapshots:
@@ -548,31 +528,17 @@ bool Engine::try_starts_heap(Time now) {
 // --------------------------------------------------------------------------
 // Checkpoint resume.
 //
-// A recorded run A (lock set L_A, checkpoint stream, per-task first-
-// startable times act, max active duration D) and a new request B that
-// differs only in its lock set replay *identically* through any time T
-// that no differing lock can influence:
-//
-//  * a lock influences scheduling decisions at time `now` only through
-//    the overlap probes of fits_* (which look at locks with
-//    start < now + dur, dur <= D), the locked-task start/infeasibility
-//    checks (locks with start <= now) and the event-time advance (future
-//    lock starts); with T <= start - D for every differing lock, none of
-//    those observe a difference at now <= T;
-//  * a task whose lock differs behaves differently (enters the ready
-//    structures vs waits for its reservation) only once its predecessors
-//    have completed, i.e. from act(t) on; with T < act(t) it is inert in
-//    both runs through T.
-//
-// The same prefix-equality argument extends to a run B that differs in
-// its *guard assignment* instead — a different path label, and with it
-// different active sets and priorities (lock sets empty on both sides,
-// knowledge rule enforced). Two complete path labels of one graph decide
-// at least one condition oppositely; call those the divergent conditions.
-// Then through any T strictly before both (a) the first time any
-// divergent condition became known on any resource in run A (cond_known)
-// and (b) the first-startable time act(t) of any task active in both runs
-// with differing priorities, the runs replay identically:
+// A recorded run A (checkpoint stream, per-task first-startable times
+// act, per-condition first-known times cond_known) and a new run B on the
+// same graph that differs in its *guard assignment* — a different path
+// label, and with it different active sets and priorities (lock sets
+// empty on both sides, knowledge rule enforced) — replay identically for
+// a while. Two complete path labels of one graph decide at least one
+// condition oppositely; call those the divergent conditions. Then through
+// any T strictly before both (a) the first time any divergent condition
+// became known on any resource in run A (cond_known) and (b) the
+// first-startable time act(t) of any task active in both runs with
+// differing priorities, the runs replay identically:
 //
 //  * a task whose activity differs has a guard whose truth value differs
 //    under the two labels, so covering it (to start it) or refuting it
@@ -597,47 +563,23 @@ bool Engine::try_starts_heap(Time now) {
 // Checkpoints store only request-independent state (schedule, flags,
 // occupancy, knowledge); restore_checkpoint rebuilds everything
 // request-dependent — pending counts, dep-ready/act times, ready heaps,
-// broadcast/lock lists — from the *resuming* request, which is exactly
-// what lets one stream serve both kinds of divergence. Under those
-// bounds, restoring A's checkpoint at T and continuing with B's request
-// is byte-identical to running B from scratch (equivalence-tested in
-// test_list_scheduler / test_merge_parallel / test_path_tree).
-
-bool Engine::history_matches(const EngineHistory& h) const {
-  return h.graph_digest == fg_.canonical_digest() &&
-         h.task_count == fg_.task_count() &&
-         h.enforce_knowledge == req_.enforce_knowledge &&
-         h.label == label_ && h.active == active_ &&
-         h.priority == priority_;
-}
+// the broadcast list — from the *resuming* request. Under those bounds,
+// restoring A's checkpoint at T and continuing with B's request is
+// byte-identical to running B from scratch (equivalence-tested in
+// test_list_scheduler / test_path_tree). Requests with locks (the merge's
+// rule-3 adjustments) never touch a history: they run from scratch.
 
 bool Engine::history_guard_matches(const EngineHistory& h) const {
-  // Guard-assignment resume: same graph, knowledge rule enforced, no lock
-  // on either side — the divergence analysis leans on guarded tasks being
-  // unable to start before their divergent conditions are known, and on
-  // lock-free ready-structure rebuilds. A feasible recorded run is also
-  // required: per-path runs of validated CPGs never deadlock, so an
-  // infeasible record means malformed input (e.g. a hand-corrupted
-  // active set) where the equivalence reasoning has no footing.
+  // Same graph, knowledge rule enforced — the divergence analysis leans
+  // on guarded tasks being unable to start before their divergent
+  // conditions are known. A feasible recorded run is also required:
+  // per-path runs of validated CPGs never deadlock, so an infeasible
+  // record means malformed input (e.g. a hand-corrupted active set) where
+  // the equivalence reasoning has no footing.
   return h.graph_digest == fg_.canonical_digest() &&
          h.task_count == fg_.task_count() &&
          h.feasible && h.enforce_knowledge && req_.enforce_knowledge &&
-         h.cond_known.size() == fg_.cpg().conditions().size() &&
-         !any_lock(h.locks) && !any_lock(locks_);
-}
-
-Time Engine::divergence_limit(const EngineHistory& h) const {
-  const Time d = std::max<Time>(h.max_duration, 1);
-  Time limit = kInf;
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    const std::optional<TaskLock>& a = lock_at(h.locks, t);
-    const std::optional<TaskLock>& b = lock_at(locks_, t);
-    if (a == b) continue;
-    if (a) limit = std::min(limit, a->start - d + 1);
-    if (b) limit = std::min(limit, b->start - d + 1);
-    limit = std::min(limit, h.act[t]);
-  }
-  return limit;
+         h.cond_known.size() == fg_.cpg().conditions().size();
 }
 
 Time Engine::guard_divergence_limit(const EngineHistory& h) const {
@@ -727,13 +669,13 @@ void Engine::restore_checkpoint(const EngineHistory& h,
 
   // Everything request-dependent is rebuilt from *this* request plus the
   // replayed flags — the resuming run may differ from the recorded one in
-  // its lock set or in its whole guard assignment (active sets,
-  // priorities), so nothing of the sort is ever recorded. The rebuild
-  // reproduces exactly what a from-scratch run of this request holds
-  // after the step at ck.now: pending/dep-ready/act are pure functions of
-  // (active set, finished set, schedule), heap contents are the ready
-  // unstarted unlocked tasks, and heap pop order is a total order on
-  // (priority, id), making insertion order irrelevant.
+  // its whole guard assignment (active sets, priorities), so nothing of
+  // the sort is ever recorded. The rebuild reproduces exactly what a
+  // from-scratch run of this request holds after the step at ck.now:
+  // pending/dep-ready/act are pure functions of (active set, finished
+  // set, schedule), heap contents are the ready unstarted tasks, and heap
+  // pop order is a total order on (priority, id), making insertion order
+  // irrelevant.
   const std::size_t n = fg_.task_count();
   remaining_ = 0;
   for (TaskId t = 0; t < n; ++t) {
@@ -756,20 +698,13 @@ void Engine::restore_checkpoint(const EngineHistory& h,
     dep_ready_[t] = last_done;
     act_[t] = open == 0 ? (has_pred ? last_done : 0) : kInf;
   }
-  // Ready structures and lock-derived lists, in task-id order exactly
-  // like the from-scratch initialization.
-  locked_tasks_.clear();
-  locks_on_res_.assign(fg_.arch().pe_count(), {});
+  // Ready structures, in task-id order exactly like the from-scratch
+  // initialization (a resuming request carries no locks).
   bcast_pending_.clear();
   hw_ready_.clear();
   ready_.assign(fg_.arch().pe_count(), ReadyHeap());
   for (TaskId t = 0; t < n; ++t) {
     if (!active(t)) continue;
-    if (locked(t)) {
-      locked_tasks_.push_back(t);
-      locks_on_res_[lock(t).resource].push_back(t);
-      continue;
-    }
     if (fg_.task(t).is_broadcast()) {
       if (!started_[t]) bcast_pending_.push_back(t);
       continue;
@@ -798,7 +733,7 @@ void Engine::maybe_record(Time now, std::size_t steps) {
   ++ws_.stats.checkpoints;
 }
 
-void Engine::finalize_history(const EngineResult& out, std::size_t steps) {
+void Engine::finalize_history(bool feasible) {
   EngineHistory& h = *req_.history;
   h.graph_digest = fg_.canonical_digest();
   h.task_count = fg_.task_count();
@@ -806,16 +741,9 @@ void Engine::finalize_history(const EngineResult& out, std::size_t steps) {
   h.active = active_;
   h.priority = priority_;
   h.enforce_knowledge = req_.enforce_knowledge;
-  h.locks = locks_;
-  h.lock_fingerprint = lock_set_fingerprint(h.locks);
   h.act = act_;
   h.cond_known = cond_known_;
-  h.max_duration = max_duration_;
-  h.feasible = out.feasible;
-  if (out.feasible) h.final_schedule = sched_;
-  h.offending_lock = out.offending_lock;
-  h.reason = out.reason;
-  h.total_steps = steps;
+  h.feasible = feasible;
   h.valid = true;
 }
 
@@ -932,34 +860,14 @@ EngineResult Engine::run() {
   cache_ = req_.cover_cache ? req_.cover_cache : &ws_.private_cache;
 
   // Checkpoint resume: only the heap engine records/resumes (the
-  // linear-scan reference always runs from scratch). A valid history is
-  // usable either on exact identity up to the lock set (merge
-  // adjustments) or, lock-free, on a divergent guard assignment (tree
-  // driver chaining leaves of the guard trie).
+  // linear-scan reference always runs from scratch), and only lock-free
+  // requests — the tree driver chaining leaves of the guard trie. A
+  // history handed in with a locked request is neither read nor written.
   recording_ = req_.history != nullptr &&
-               req_.resume == EngineResume::kCheckpoint && heap_mode();
-  const bool history_usable =
-      recording_ && req_.history->valid && history_matches(*req_.history);
+               req_.resume == EngineResume::kCheckpoint && heap_mode() &&
+               !any_lock(locks_);
   const bool guard_usable = recording_ && req_.history->valid &&
-                            !history_usable &&
                             history_guard_matches(*req_.history);
-  if (history_usable) {
-    EngineHistory& h = *req_.history;
-    if (lock_set_fingerprint(locks_) == h.lock_fingerprint &&
-        lock_sets_equal(h.locks, locks_, n)) {
-      // The whole recorded run applies: return its outcome unchanged,
-      // without initializing (let alone stepping) any engine state.
-      ++ws_.stats.full_reuses;
-      EngineResult out;
-      out.feasible = h.feasible;
-      out.code = h.feasible ? ErrorCode::kOk : ErrorCode::kUnschedulable;
-      if (h.feasible) out.schedule = h.final_schedule;
-      out.offending_lock = h.offending_lock;
-      out.reason = h.reason;
-      out.full_reuse = true;
-      return out;
-    }
-  }
 
   sched_.reset(n);
   pending_.assign(n, 0);
@@ -978,12 +886,10 @@ EngineResult Engine::run() {
   }
   running_.clear();
   act_.assign(n, kInf);
-  max_duration_ = 1;
   remaining_ = 0;
   for (TaskId t = 0; t < n; ++t) {
     if (!active(t)) continue;
     ++remaining_;
-    max_duration_ = std::max(max_duration_, fg_.task(t).duration);
     for (EdgeId e : fg_.deps().in_edges(t)) {
       if (active(fg_.deps().edge(e).src)) ++pending_[t];
     }
@@ -1024,9 +930,8 @@ EngineResult Engine::run() {
     EngineHistory& h = *req_.history;
     cond_known_.assign(fg_.cpg().conditions().size(), kInf);
     Time limit = 0;
-    if (history_usable || guard_usable) {
-      limit =
-          history_usable ? divergence_limit(h) : guard_divergence_limit(h);
+    if (guard_usable) {
+      limit = guard_divergence_limit(h);
       const EngineCheckpoint* best = nullptr;
       std::size_t best_idx = 0;
       for (std::size_t i = 0; i < h.ckpt_count; ++i) {
@@ -1057,18 +962,13 @@ EngineResult Engine::run() {
       h.valid = false;  // consistent again once finalize_history runs
     }
     // Demand-driven recording: this run is worth checkpointing if the
-    // caller said so up front (eager) or a usable-history rerun has been
-    // observed — which includes this very run: history_usable means the
-    // identity matched but the locks did not (the full-reuse test above
-    // already failed), guard_usable means a sibling guard assignment
-    // arrived; either way, reruns demonstrably happen on this history.
-    // Guard-divergence chains additionally require a resume to be
-    // plausible (limit > 0): when sibling priorities diverge right at
-    // t=0 — unbalanced arm durations shift every shared critical-path
-    // priority — no checkpoint can ever be restored, and per-step
-    // recording would be pure overhead on every leaf of the trie.
-    h.record =
-        history_usable || (guard_usable && (resumed || limit > 0));
+    // caller said so up front (eager) or a sibling guard assignment has
+    // arrived on this history — which includes this very run — and a
+    // resume is plausible (limit > 0): when sibling priorities diverge
+    // right at t=0 — unbalanced arm durations shift every shared
+    // critical-path priority — no checkpoint can ever be restored, and
+    // per-step recording would be pure overhead on every leaf of the trie.
+    h.record = guard_usable && (resumed || limit > 0);
     record_ckpts_ = h.eager || h.record;
   }
 
@@ -1106,8 +1006,7 @@ EngineResult Engine::run() {
                    std::to_string(lock(t).start));
         out.resumed = resumed;
         out.resumed_steps = resumed_steps;
-        if (recording_) finalize_history(out, steps);
-        return out;
+        return out;  // locked runs never record (see recording_)
       }
     }
 
@@ -1141,7 +1040,7 @@ EngineResult Engine::run() {
                    "event)";
       out.resumed = resumed;
       out.resumed_steps = resumed_steps;
-      if (recording_) finalize_history(out, steps);
+      if (recording_) finalize_history(false);
       return out;
     }
     now = next;
@@ -1163,7 +1062,7 @@ EngineResult Engine::run() {
   out.feasible = true;
   out.resumed = resumed;
   out.resumed_steps = resumed_steps;
-  if (recording_) finalize_history(out, steps);
+  if (recording_) finalize_history(true);
   out.schedule = sched_;  // copy: the workspace keeps its capacity warm
   return out;
 }

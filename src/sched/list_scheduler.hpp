@@ -56,9 +56,10 @@ struct EngineRequest {
   /// with kHeap selection and a non-null `history`.
   EngineResume resume = EngineResume::kFromScratch;
   /// Checkpoint stream to resume from and re-record into (non-owning;
-  /// must outlive the run). The caller guarantees that every run handed
-  /// the same history differs from the recorded one at most in `locks`
-  /// (the engine verifies and falls back to from-scratch otherwise).
+  /// must outlive the run), chained across lock-free runs of sibling
+  /// guard assignments (the engine verifies and falls back to
+  /// from-scratch otherwise). Neither read nor written when `locks`
+  /// holds any lock.
   EngineHistory* history = nullptr;
   /// Optional cooperative cancellation/deadline/step budget (non-owning;
   /// must outlive the run). The main loop polls it at bounded intervals
@@ -88,9 +89,6 @@ struct EngineResult {
   /// `resumed_steps` committed time steps.
   bool resumed = false;
   std::size_t resumed_steps = 0;
-  /// The request's lock set matched the recorded run exactly: the result
-  /// is the recorded outcome, no engine step was executed.
-  bool full_reuse = false;
 };
 
 /// Run the engine against a caller-provided reusable workspace: the

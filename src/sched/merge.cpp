@@ -1,16 +1,11 @@
 #include "sched/merge.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <iostream>
 #include <limits>
-#include <memory>
-#include <mutex>
 
 #include "support/error.hpp"
 #include "support/fault.hpp"
-#include "support/thread_pool.hpp"
 
 namespace cps {
 
@@ -19,14 +14,6 @@ const char* to_string(PathSelection s) {
     case PathSelection::kLongestFirst: return "longest-first";
     case PathSelection::kShortestFirst: return "shortest-first";
     case PathSelection::kRandom: return "random";
-  }
-  return "?";
-}
-
-const char* to_string(MergeExecution e) {
-  switch (e) {
-    case MergeExecution::kSerial: return "serial";
-    case MergeExecution::kSpeculative: return "speculative";
   }
   return "?";
 }
@@ -44,117 +31,6 @@ struct MergeInfeasible {
   std::string reason;
 };
 
-/// Engine run + lock-relaxation loop of one adjustment (paper §5.1): runs
-/// the list scheduler, dropping any rule-3 lock that turns out infeasible
-/// on the new path (rare; counted). Mutates base.locks to the final
-/// (possibly relaxed) set. Pure in the inputs — no table, RNG or stats
-/// access — which is exactly what makes it speculatable off-thread. The
-/// workspace provides reusable engine buffers; base.history (if set)
-/// carries the checkpoint stream for incremental resume.
-struct AdjustEngineRun {
-  bool ok = true;
-  ErrorCode code = ErrorCode::kOk;  ///< kUnschedulable or interrupt iff !ok
-  std::string error;                ///< non-empty iff !ok
-  PathSchedule schedule;
-  std::size_t relaxed = 0;
-};
-
-AdjustEngineRun run_adjust_engine(const FlatGraph& fg, EngineRequest& base,
-                                  bool trace, EngineWorkspace& ws) {
-  AdjustEngineRun out;
-  EngineResult result;
-  while (true) {
-    result = run_list_scheduler(fg, base, ws);
-    if (result.feasible) break;
-    // An interrupted run (cancel/deadline/step budget) is NOT lock
-    // infeasibility: relaxing locks cannot un-cancel it, so bail out
-    // before the relaxation loop spins the engine again.
-    if (is_interrupt(result.code)) {
-      out.ok = false;
-      out.code = result.code;
-      out.error = result.reason;
-      return out;
-    }
-    if (result.offending_lock && !base.locks.empty() &&
-        base.locks[*result.offending_lock]) {
-      if (trace) {
-        std::cerr << "[merge]   RELAX lock on "
-                  << fg.task(*result.offending_lock).name << " ("
-                  << result.reason << ")\n";
-      }
-      base.locks[*result.offending_lock].reset();
-      ++out.relaxed;
-      continue;
-    }
-    // No relaxable lock left: the adjustment cannot be scheduled. This
-    // never happens on validated CPGs; report it instead of aborting so
-    // Release callers get a recoverable MergeResult error.
-    out.ok = false;
-    out.code = ErrorCode::kUnschedulable;
-    out.error = "adjustment unschedulable: " + result.reason;
-    return out;
-  }
-  out.schedule = std::move(result.schedule);
-  return out;
-}
-
-/// One speculative adjustment in flight. The walking thread creates the
-/// job with the spawn-time lock set, a pool worker (or, if the walk gets
-/// there first, the walking thread itself) claims and runs the engine;
-/// the claim flag guarantees exactly-once execution and makes the scheme
-/// deadlock-free — the consumer never blocks on un-started work.
-struct SpecJob {
-  std::atomic<bool> claimed{false};
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-
-  const FlatGraph* fg = nullptr;
-  /// Inputs frozen at spawn; locks are mutated by the relaxation loop.
-  EngineRequest base;
-  /// Spawn-time rule-3 locks, kept for the commit-time validation.
-  std::vector<std::optional<TaskLock>> spawn_locks;
-  /// Job-local checkpoint stream (base.history points here). The worker
-  /// records it eagerly — off the walk's critical path — so that a
-  /// commit-time lock-set miss re-runs incrementally: the fresh locks
-  /// typically differ from the spawn-time set only by the few rule-3
-  /// locks the sibling subtree added, and the re-run resumes from the
-  /// last checkpoint before that divergence instead of t=0. Ownership
-  /// follows the claim flag: the worker writes it while running, the
-  /// walking thread touches it only after wait().
-  EngineHistory history;
-  /// Per-worker engine workspaces of the owning merger. Only dereferenced
-  /// by the pool worker that wins the claim — the merger (and therefore
-  /// the slots) outlives every claimed job.
-  WorkerLocal<EngineWorkspace>* workspaces = nullptr;
-
-  AdjustEngineRun result;
-  std::exception_ptr error;
-
-  /// Run the engine (claim must already be won by the caller).
-  void run() {
-    try {
-      // Fault site on a pool worker: exercises an exception crossing the
-      // claim/steal boundary (captured here, rethrown at commit).
-      CPS_FAULT_POINT("merge.spec");
-      result = run_adjust_engine(*fg, base, /*trace=*/false,
-                                 workspaces->local());
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      done = true;
-    }
-    cv.notify_all();
-  }
-
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return done; });
-  }
-};
-
 class Merger {
  public:
   Merger(const FlatGraph& fg, const std::vector<AltPath>& paths,
@@ -168,8 +44,6 @@ class Merger {
         table_(fg),
         poll_(options.budget) {}
 
-  ~Merger() { drain_outstanding(); }
-
   MergeResult run();
 
  private:
@@ -179,54 +53,28 @@ class Merger {
   Cube column_for(const PathSchedule& s, const Cube& label, TaskId t) const;
   void place(const PathSchedule& s, const Cube& label, TaskId t);
 
-  /// Engine request for adjusting path `cur` (everything but the locks).
-  /// The in-place form re-assigns into an existing request so the serial
-  /// walk reuses one buffer across all its adjustments.
+  /// Engine request for adjusting path `cur` (everything but the locks),
+  /// re-assigned into an existing request so the walk reuses one buffer
+  /// across all its adjustments.
   void fill_base_request(std::size_t cur, EngineRequest& base);
-  EngineRequest base_request(std::size_t cur);
   /// Rule-3 lock derivation against the current table state: lock every
   /// active task whose activation time was already fixed in a column
   /// decided entirely at ancestors of the branching node. `count`
-  /// receives the number of locks found. The in-place form re-assigns an
-  /// existing vector (capacity reuse on the walking thread).
+  /// receives the number of locks found. Re-assigns an existing vector
+  /// (capacity reuse across the walk).
   void rule3_locks_into(const Cube& ancestors, const Cube& decided,
                         const std::vector<bool>& active,
                         std::vector<std::optional<TaskLock>>& locks,
                         std::size_t* count) const;
-  std::vector<std::optional<TaskLock>> rule3_locks(
-      const Cube& ancestors, const Cube& decided,
-      const std::vector<bool>& active, std::size_t* count) const;
-  /// §5.2 conflict handling on the walking thread (exact table state).
+  /// §5.2 conflict handling against the current table state.
   PathSchedule resolve_conflicts(EngineRequest& base, std::size_t cur,
                                  PathSchedule adjusted);
 
   PathSchedule adjust(const Cube& ancestors, const Cube& decided,
                       std::size_t cur);
-  std::shared_ptr<SpecJob> spawn(const Cube& ancestors, const Cube& decided,
-                                 std::size_t cur);
-  PathSchedule commit(SpecJob& job, const Cube& ancestors,
-                      const Cube& decided, std::size_t cur);
 
   void dfs(const Cube& decided, std::size_t cur, const PathSchedule& sched,
            std::vector<bool> done);
-
-  /// Claim every outstanding job so no pool worker can touch a request
-  /// (or workspace slot) that borrows from this object after it is gone,
-  /// and wait out the ones that are running. A normal walk commits — and
-  /// therefore claims — every job it spawned; this matters when the walk
-  /// unwinds through an exception. Then quiesce the group: a committed
-  /// job leaves its claimed-no-op wrapper behind in the pool queue, and
-  /// waiting those wrappers out (help-running them — they are claim-check
-  /// cheap) restores the submitted == executed balance before merge
-  /// returns, so callers snapshotting PoolStats right after see a
-  /// settled runtime instead of phantom pending work.
-  void drain_outstanding() {
-    for (const std::shared_ptr<SpecJob>& job : outstanding_) {
-      if (job->claimed.exchange(true)) job->wait();
-    }
-    outstanding_.clear();
-    if (spec_group_ != nullptr) spec_group_->wait();
-  }
 
   const FlatGraph& fg_;
   const std::vector<AltPath>& paths_;
@@ -236,47 +84,23 @@ class Merger {
   std::vector<Time> deltas_;
   ScheduleTable table_;
   MergeStats stats_;
-  /// Memoized guard-cover results shared by every walking-thread
-  /// adjustment run (the same (guard, known-conditions) queries recur
-  /// across paths). Never handed to pool workers — speculative engine
-  /// runs use their per-worker workspaces' private caches.
+  /// Memoized guard-cover results shared by every adjustment engine run
+  /// (the same (guard, known-conditions) queries recur across paths).
   CoverCache cache_;
-  /// Reusable engine buffers for every walking-thread engine run
-  /// (adjustments, conflict trials, speculative-miss reruns), plus the
-  /// request buffer the serial adjustments re-fill instead of
-  /// reallocating. Safe to share across the walk: adjustments never
-  /// overlap (dfs recurses only after the adjustment fully resolved).
+  /// Reusable engine buffers for every engine run of the walk
+  /// (adjustments and conflict trials), plus the request buffer the
+  /// adjustments re-fill instead of reallocating. Safe to share across
+  /// the walk: adjustments never overlap (dfs recurses only after the
+  /// adjustment fully resolved).
   EngineWorkspace walk_ws_;
   EngineRequest walk_base_;
-  /// Per-path checkpoint streams for incremental prefix rescheduling
-  /// (EngineResume::kCheckpoint). Walking-thread property: speculative
-  /// off-thread runs never see them, so there is no cross-thread sharing
-  /// — and since resumed runs are byte-identical to from-scratch runs,
-  /// the table stays identical whether or not a given run resumed.
-  std::vector<EngineHistory> histories_;
   /// Per-path active-task vectors, computed once per path on demand.
   std::vector<std::vector<bool>> active_cache_;
   std::vector<bool> active_cached_;
   /// Packed per-path label masks for the reachability walks.
   PathLabelMasks label_masks_;
-  /// Bounded-interval budget poller of the walking thread (one poll per
-  /// decision-tree node; speculative workers poll inside their engine
-  /// runs instead).
+  /// Bounded-interval budget poller (one poll per decision-tree node).
   BudgetPoll poll_;
-
-  /// Speculation state (kSpeculative only).
-  bool speculative_ = false;
-  ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  /// One engine workspace per pool worker (plus the spare slot that
-  /// WorkerLocal reserves for the walking thread, unused here — the walk
-  /// runs on walk_ws_).
-  std::unique_ptr<WorkerLocal<EngineWorkspace>> worker_ws_;
-  /// All speculative wrappers ride one group so drain_outstanding() can
-  /// wait them out (declared after owned_pool_ in destruction-order
-  /// terms: the group dies before the pool it tags tasks on).
-  std::unique_ptr<TaskGroup> spec_group_;
-  std::vector<std::shared_ptr<SpecJob>> outstanding_;
 };
 
 const std::vector<bool>& Merger::active_of(std::size_t path) {
@@ -386,18 +210,10 @@ void Merger::fill_base_request(std::size_t cur, EngineRequest& base) {
   for (TaskId t = 0; t < fg_.task_count(); ++t) {
     if (orig.scheduled(t)) base.priority[t] = -orig.slot(t).start;
   }
-  base.cover_cache = nullptr;
-  base.resume = EngineResume::kFromScratch;
-  base.history = nullptr;
-  // Every adjustment engine run — walking thread or speculative worker —
-  // polls the merge's budget, so cancellation reaches nested runs fast.
+  base.cover_cache = &cache_;
+  // Every adjustment engine run polls the merge's budget, so cancellation
+  // reaches nested runs fast.
   base.budget = opts_.budget;
-}
-
-EngineRequest Merger::base_request(std::size_t cur) {
-  EngineRequest base;
-  fill_base_request(cur, base);
-  return base;
 }
 
 void Merger::rule3_locks_into(const Cube& ancestors, const Cube& decided,
@@ -422,14 +238,6 @@ void Merger::rule3_locks_into(const Cube& ancestors, const Cube& decided,
     }
   }
   if (count != nullptr) *count = found;
-}
-
-std::vector<std::optional<TaskLock>> Merger::rule3_locks(
-    const Cube& ancestors, const Cube& decided,
-    const std::vector<bool>& active, std::size_t* count) const {
-  std::vector<std::optional<TaskLock>> locks;
-  rule3_locks_into(ancestors, decided, active, locks, count);
-  return locks;
 }
 
 PathSchedule Merger::resolve_conflicts(EngineRequest& base, std::size_t cur,
@@ -466,8 +274,6 @@ PathSchedule Merger::resolve_conflicts(EngineRequest& base, std::size_t cur,
     for (const TableEntry& cand : w) {
       auto trial = base;
       trial.locks[*conflict_task] = TaskLock{cand.start, cand.resource};
-      // The trial differs from `base` in exactly one lock — the shape the
-      // checkpoint resume (carried by base.history) accelerates best.
       EngineResult tr = run_list_scheduler(fg_, trial, walk_ws_);
       if (!tr.feasible) continue;
       const Cube col = column_for(tr.schedule, path.label, *conflict_task);
@@ -515,115 +321,45 @@ PathSchedule Merger::adjust(const Cube& ancestors, const Cube& decided,
   std::size_t lock_count = 0;
   rule3_locks_into(ancestors, decided, base.active, base.locks, &lock_count);
   stats_.locks += lock_count;
-  base.cover_cache = &cache_;
-  base.resume = opts_.resume;
-  base.history = &histories_[cur];
 
-  AdjustEngineRun run = run_adjust_engine(fg_, base, opts_.trace, walk_ws_);
-  if (!run.ok) throw MergeInfeasible{run.code, run.error};
-  stats_.relaxed_locks += run.relaxed;
-  return resolve_conflicts(base, cur, std::move(run.schedule));
-}
-
-std::shared_ptr<SpecJob> Merger::spawn(const Cube& ancestors,
-                                       const Cube& decided,
-                                       std::size_t cur) {
-  auto job = std::make_shared<SpecJob>();
-  job->fg = &fg_;
-  job->base = base_request(cur);
-  // The speculative engine run happens off-thread: no shared cover cache
-  // (CoverCache is not thread-safe; the engine uses the worker slot's
-  // private one), no per-path history (histories_ belongs to the walking
-  // thread — the job records into its own), and locks derived from the
-  // table as of spawn time.
-  job->base.cover_cache = nullptr;
-  job->base.resume = opts_.resume;
-  job->base.history = &job->history;
-  job->history.eager = true;
-  job->base.locks = rule3_locks(ancestors, decided, job->base.active,
-                                nullptr);
-  job->spawn_locks = job->base.locks;
-  job->workspaces = worker_ws_.get();
-  outstanding_.push_back(job);
-  // High priority: on a shared runtime a speculative adjustment is on
-  // the walking thread's critical path *right now*, so it must jump
-  // ahead of queued batch items and subtree jobs.
-  spec_group_->submit(
-      [job] {
-        if (job->claimed.exchange(true)) return;  // the walk got there first
-        job->run();
-      },
-      TaskPriority::kHigh);
-  return job;
-}
-
-PathSchedule Merger::commit(SpecJob& job, const Cube& ancestors,
-                            const Cube& decided, std::size_t cur) {
-  CPS_FAULT_POINT("merge.commit");
-  ++stats_.adjustments;
-  std::size_t lock_count = 0;
-  std::vector<std::optional<TaskLock>> fresh =
-      rule3_locks(ancestors, decided, job.base.active, &lock_count);
-  stats_.locks += lock_count;
-
-  // The hit/miss classification compares table states, not timing: it is
-  // identical at every thread count.
-  const bool reusable = fresh == job.spawn_locks;
-  if (reusable) {
-    ++stats_.speculative_hits;
-  } else {
-    ++stats_.speculative_misses;
-  }
-
-  if (!job.claimed.exchange(true)) {
-    // No worker picked the job up yet: run it inline with the fresh
-    // locks (always correct, whether or not they match spawn time).
-    // Mark the job done so anything waiting on the claimed flag (the
-    // destructor) sees the claim ⇒ eventually-done invariant hold.
-    {
-      std::lock_guard<std::mutex> lock(job.mutex);
-      job.done = true;
+  // Engine run + lock-relaxation loop (paper §5.1): a rule-3 lock that
+  // turns out infeasible on the new path is dropped (rare; counted).
+  std::size_t relaxed = 0;
+  EngineResult result;
+  while (true) {
+    result = run_list_scheduler(fg_, base, walk_ws_);
+    if (result.feasible) break;
+    // An interrupted run (cancel/deadline/step budget) is NOT lock
+    // infeasibility: relaxing locks cannot un-cancel it, so bail out
+    // before the relaxation loop spins the engine again.
+    if (is_interrupt(result.code)) {
+      throw MergeInfeasible{result.code, result.reason};
     }
-    job.cv.notify_all();
-    job.base.locks = std::move(fresh);
-    job.base.cover_cache = &cache_;
-    // Running inline on the walking thread: demand-driven recording only
-    // (eager recording is only free when a worker pays for it).
-    job.history.eager = false;
-    AdjustEngineRun run = run_adjust_engine(fg_, job.base, false, walk_ws_);
-    if (!run.ok) throw MergeInfeasible{run.code, run.error};
-    stats_.relaxed_locks += run.relaxed;
-    return resolve_conflicts(job.base, cur, std::move(run.schedule));
-  }
-
-  job.wait();
-  if (job.error) std::rethrow_exception(job.error);
-  job.base.cover_cache = &cache_;
-  if (reusable) {
-    // The sibling subtree fixed no additional rule-3 locks: the
-    // speculated engine run is exactly what the serial walk would have
-    // computed (locks in, relaxations and schedule out).
-    if (!job.result.ok) {
-      throw MergeInfeasible{job.result.code, job.result.error};
+    if (result.offending_lock && base.locks[*result.offending_lock]) {
+      if (opts_.trace) {
+        std::cerr << "[merge]   RELAX lock on "
+                  << fg_.task(*result.offending_lock).name << " ("
+                  << result.reason << ")\n";
+      }
+      base.locks[*result.offending_lock].reset();
+      ++relaxed;
+      continue;
     }
-    stats_.relaxed_locks += job.result.relaxed;
-    return resolve_conflicts(job.base, cur, std::move(job.result.schedule));
+    // No relaxable lock left: the adjustment cannot be scheduled. This
+    // never happens on validated CPGs; report it instead of aborting so
+    // Release callers get a recoverable MergeResult error.
+    throw MergeInfeasible{ErrorCode::kUnschedulable,
+                          "adjustment unschedulable: " + result.reason};
   }
-  job.base.locks = std::move(fresh);
-  AdjustEngineRun run = run_adjust_engine(fg_, job.base, false, walk_ws_);
-  if (!run.ok) throw MergeInfeasible{run.code, run.error};
-  stats_.relaxed_locks += run.relaxed;
-  return resolve_conflicts(job.base, cur, std::move(run.schedule));
+  stats_.relaxed_locks += relaxed;
+  return resolve_conflicts(base, cur, std::move(result.schedule));
 }
 
 void Merger::dfs(const Cube& decided, std::size_t cur,
                  const PathSchedule& sched, std::vector<bool> done) {
   // One budget poll per decision-tree node: cheap (token-only most
   // polls), and bounded — a node does at most one adjustment engine run,
-  // which polls internally. A trip here unwinds through the walk;
-  // ~Merger's drain_outstanding() then claims or waits out every
-  // speculative job (their engine runs share the budget, so they drain
-  // fast instead of finishing queued work).
+  // which polls internally. A trip here unwinds through the walk.
   {
     const ErrorCode trip = poll_.poll();
     if (trip != ErrorCode::kOk) {
@@ -669,27 +405,17 @@ void Merger::dfs(const Cube& decided, std::size_t cur,
   auto flip = decided.conjoin(Literal{next_cond, !value});
   CPS_ASSERT(same && flip, "branching condition was undecided");
 
-  // The path the opposite branch will adjust is already determined (for
-  // the deterministic selection policies), so its engine run can start
-  // now and overlap with the walk of the sibling subtree below.
-  const auto reachable = reachable_under(*flip);
-  std::shared_ptr<SpecJob> job;
-  std::size_t flip_cur = 0;
-  if (!reachable.empty() && speculative_) {
-    flip_cur = select(reachable);
-    job = spawn(decided, *flip, flip_cur);
-  }
-
   // Follow the current schedule (no back-step).
   dfs(*same, cur, sched, done);
 
-  // Back-step: explore the opposite condition value.
+  // Back-step: explore the opposite condition value. The adjustment reads
+  // the table the sibling subtree just filled (rule 3), so it runs here,
+  // after that subtree.
+  const auto reachable = reachable_under(*flip);
   if (!reachable.empty()) {
     ++stats_.backsteps;
-    if (!job) flip_cur = select(reachable);  // serial: original draw order
-    const PathSchedule adjusted =
-        job ? commit(*job, decided, *flip, flip_cur)
-            : adjust(decided, *flip, flip_cur);
+    const std::size_t flip_cur = select(reachable);
+    const PathSchedule adjusted = adjust(decided, *flip, flip_cur);
     dfs(*flip, flip_cur, adjusted, done);
   }
 }
@@ -699,24 +425,6 @@ MergeResult Merger::run() {
   CPS_REQUIRE(paths_.size() == scheds_.size(),
               "paths/schedules size mismatch");
 
-  // Tracing and random path selection are inherently serial-order
-  // businesses; everything else may speculate.
-  speculative_ = opts_.execution == MergeExecution::kSpeculative &&
-                 opts_.selection != PathSelection::kRandom && !opts_.trace;
-  if (speculative_) {
-    if (opts_.pool != nullptr) {
-      pool_ = opts_.pool;
-    } else if (opts_.threads == 0) {
-      pool_ = &ThreadPool::shared();
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(opts_.threads);
-      pool_ = owned_pool_.get();
-    }
-    worker_ws_ = std::make_unique<WorkerLocal<EngineWorkspace>>(*pool_);
-    spec_group_ = std::make_unique<TaskGroup>(*pool_);
-  }
-
-  histories_.resize(paths_.size());
   label_masks_ = collect_label_masks(paths_);
   deltas_.resize(paths_.size());
   for (std::size_t i = 0; i < paths_.size(); ++i) {
@@ -737,18 +445,8 @@ MergeResult Merger::run() {
     code = e.code;
     error = e.reason;
   }
-  // Quiesce the speculation machinery before reading worker state (only
-  // the infeasible path can leave un-committed jobs behind).
-  drain_outstanding();
-
-  WorkspaceStats workspace = walk_ws_.stats;
-  if (worker_ws_ != nullptr) {
-    worker_ws_->for_each(
-        [&workspace](EngineWorkspace& ws) { workspace += ws.stats; });
-  }
-  return MergeResult{std::move(table_), stats_,     cache_.stats(),
-                     workspace,         ok,         code,
-                     std::move(error)};
+  return MergeResult{std::move(table_), stats_, cache_.stats(), walk_ws_.stats,
+                     ok, code, std::move(error)};
 }
 
 }  // namespace

@@ -27,8 +27,6 @@
 
 namespace cps {
 
-class ThreadPool;
-
 /// Which reachable path becomes the current one after a back-step.
 /// The paper uses kLongestFirst; the alternatives quantify the benefit
 /// (bench_ablation_merge_order).
@@ -40,26 +38,9 @@ enum class PathSelection : std::uint8_t {
 
 const char* to_string(PathSelection s);
 
-/// How the decision-tree walk executes.
-///
-/// kSpeculative (production) runs the engine part of every back-step
-/// adjustment on a thread pool: when the walk reaches a branching node it
-/// already knows which path the opposite branch will adjust, so the
-/// adjustment's list-scheduler run — a pure function of the rule-3 lock
-/// set — is dispatched speculatively while the walk continues through the
-/// sibling subtree. At commit time the lock set is re-derived from the
-/// (by then further filled) table; on a match the speculated schedule is
-/// reused, otherwise it is recomputed inline. Table writes, conflict
-/// resolution (§5.2) and path selection stay on the walking thread in
-/// exact serial order, so the resulting table is byte-identical to
-/// kSerial at every thread count.
-///
-/// kSerial is the reference single-threaded walk (the pre-parallel
-/// implementation, analogous to ReadySelection::kLinearScan), used by the
-/// equivalence tests and as the speedup baseline.
-enum class MergeExecution : std::uint8_t { kSerial, kSpeculative };
-
-const char* to_string(MergeExecution e);
+/// Kept only because perfbench/ compiles against MergeOptions::execution;
+/// nothing in src/ reads it. The merge is one serial walk.
+enum class MergeExecution : std::uint8_t { kSerial };
 
 struct MergeOptions {
   PathSelection selection = PathSelection::kLongestFirst;
@@ -67,39 +48,15 @@ struct MergeOptions {
   /// Engine used for the schedule adjustments (heap in production;
   /// linear-scan as the pre-heap reference for equivalence/ablation).
   ReadySelection ready = ReadySelection::kHeap;
-  /// Decision-tree walk execution (see MergeExecution). kSpeculative
-  /// silently degrades to the serial walk when tracing is on or when
-  /// selection == kRandom (the random draw order is part of the
-  /// reproducible serial behavior and cannot be speculated).
-  MergeExecution execution = MergeExecution::kSpeculative;
-  /// Speculative worker threads assisting the walk; 0 = the process-wide
-  /// shared pool (hardware concurrency). Ignored by kSerial. The merged
-  /// table does not depend on this value.
-  std::size_t threads = 0;
-  /// Optional externally owned pool for the speculative workers
-  /// (overrides `threads`): lets callers that merge repeatedly — or that
-  /// time the merge — pay the worker spawn cost once instead of per
-  /// invocation. Must outlive the merge call. nullptr = resolve from
-  /// `threads`.
-  ThreadPool* pool = nullptr;
-  /// Incremental prefix rescheduling of the walking thread's adjustment
-  /// engine runs (see EngineResume): with kCheckpoint (production), each
-  /// run records a checkpoint stream into a per-path EngineHistory and a
-  /// later adjustment of the same path resumes from the last checkpoint
-  /// preceding its rule-3 lock-set divergence, instead of rescheduling
-  /// from t=0. Byte-identical to kFromScratch (the retained reference) at
-  /// every thread count and execution mode.
-  EngineResume resume = EngineResume::kCheckpoint;
+  /// Kept only for perfbench/ (see MergeExecution); ignored.
+  MergeExecution execution = MergeExecution::kSerial;
   /// Trace the decision-tree walk, locks and conflicts to stderr
-  /// (debugging aid; forces the serial walk).
+  /// (debugging aid).
   bool trace = false;
   /// Optional cooperative cancellation/deadline/step budget (non-owning;
   /// must outlive the merge). Polled by the decision-tree walk at every
-  /// node and forwarded into every adjustment engine run — including
-  /// speculative jobs on pool workers, so cancelling the budget drains
-  /// in-flight speculation quickly too. A trip reports through
-  /// MergeResult::ok/code; the table must then not be used, but every
-  /// workspace/history stays reusable.
+  /// node and forwarded into every adjustment engine run. A trip reports
+  /// through MergeResult::ok/code; the table must then not be used.
   RunBudget* budget = nullptr;
 };
 
@@ -122,30 +79,19 @@ struct MergeStats {
   std::size_t relaxed_locks = 0;
   /// Exact-column clashes recorded by the table (0 expected).
   std::size_t column_clashes = 0;
-  /// Speculative adjustments whose spawn-time rule-3 lock set still
-  /// matched at commit time (engine run reused). Deterministic: the
-  /// hit/miss split depends only on table contents, never on timing, so
-  /// it is identical at every thread count (and 0 under kSerial).
+  /// Always 0. Kept only because perfbench/ reads them and serve
+  /// responses (perfbench/golden/serve-repeat.json) still carry them.
   std::size_t speculative_hits = 0;
-  /// Speculative adjustments re-run because the sibling subtree fixed
-  /// additional rule-3 locks in the meantime.
   std::size_t speculative_misses = 0;
 };
 
 struct MergeResult {
   ScheduleTable table;
   MergeStats stats;
-  /// Walking-thread cover-cache counters. Deterministic under kSerial; in
-  /// speculative runs the inline-vs-worker split depends on timing, so
-  /// these counters (unlike everything in `stats`) may vary with thread
-  /// count and are excluded from byte-identical outputs.
+  /// Cover-cache counters of the walk's adjustment engine runs.
   CoverCacheStats cover_cache;
-  /// Aggregated engine-workspace counters (walking thread + speculative
-  /// workers): buffer reuse, checkpoint resumes vs from-scratch runs,
-  /// resumed steps. Like `cover_cache`, deterministic under kSerial but
-  /// timing-dependent under speculation (whether a given adjustment runs
-  /// inline or on a worker decides which counters it hits), so excluded
-  /// from byte-identical outputs.
+  /// Engine-workspace counters of the walk's adjustment engine runs
+  /// (buffer reuse; every adjustment runs from scratch).
   WorkspaceStats workspace;
   /// False when an adjustment was unschedulable even after relaxing every
   /// relaxable lock (never happens on validated CPGs; previously this

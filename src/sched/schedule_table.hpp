@@ -94,8 +94,9 @@ class ScheduleTable {
   std::size_t entry_count() const;
 
   /// Cell-wise equality (rows, order and every entry field) — the
-  /// canonical check behind the "byte-identical tables" guarantees of the
-  /// speculative merger. Ignores which FlatGraph instance is referenced.
+  /// canonical check behind the "byte-identical tables" guarantees (tree
+  /// vs list walk, heap vs linear-scan engine). Ignores which FlatGraph
+  /// instance is referenced.
   friend bool operator==(const ScheduleTable& a, const ScheduleTable& b);
   friend bool operator!=(const ScheduleTable& a, const ScheduleTable& b) {
     return !(a == b);

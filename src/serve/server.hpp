@@ -5,10 +5,10 @@
 // accepting, framing, parsing, admission control, response flushing —
 // and never runs the pipeline itself: admitted requests queue in FIFO
 // order and dispatch onto the pool at kLow, where each one runs the same
-// run_batch_item the offline batch driver runs (inner subtree jobs and
-// speculative merge adjustments keep their higher priorities on the same
-// pool). Workers hand finished response frames back through a lock-free-
-// enough completion queue plus a wakeup pipe.
+// run_batch_item the offline batch driver runs (inner subtree jobs keep
+// their higher kNormal priority on the same pool). Workers hand finished
+// response frames back through a lock-free-enough completion queue plus a
+// wakeup pipe.
 //
 // Robustness machinery (the point of this subsystem):
 //  - Admission control: a bounded request queue (max_queue_depth counts

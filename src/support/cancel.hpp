@@ -47,8 +47,8 @@ class CancelToken {
 
 /// Limits for one co-synthesis run (or one batch item). Non-owning and
 /// shared: the same budget is handed by pointer to every layer of one
-/// run — engine, merge walk, speculative jobs, subtree jobs — so the
-/// step counter is global to the run, not per engine invocation.
+/// run — engine, merge walk, subtree jobs — so the step counter is global
+/// to the run, not per engine invocation.
 /// Non-copyable (the step counter is an atomic); pass by pointer.
 struct RunBudget {
   using clock = std::chrono::steady_clock;

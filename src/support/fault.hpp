@@ -1,14 +1,15 @@
 // Deterministic, seeded fault injection for robustness tests.
 //
 // The pipeline's error paths — exceptions crossing ThreadPool steal
-// boundaries, cancellation racing the merge's DFS commit, a batch item
-// dying mid-graph — are nearly impossible to hit organically with real
-// inputs, so they would rot untested. This framework plants named fault
-// *sites* at the interesting boundaries (engine run/step, merge
-// adjust/speculative job/commit, trie subtree/commit, batch item, pool
-// group task); a test arms a site with a 1-based hit ordinal and the
-// site throws InjectedFault on exactly that hit — deterministically,
-// because the ordinal counts hits, not wall clock.
+// boundaries, cancellation racing the trie walk's DFS-ordered commit, a
+// batch item dying mid-graph — are nearly impossible to hit organically
+// with real inputs, so they would rot untested. This framework plants
+// named fault *sites* at the interesting boundaries: engine.run,
+// engine.step, merge.adjust, trie.subtree, trie.commit, batch.item,
+// pool.group_task and the daemon's serve.accept, serve.read,
+// serve.dispatch and serve.write. A test arms a site with a 1-based hit
+// ordinal and the site throws InjectedFault on exactly that hit —
+// deterministically, because the ordinal counts hits, not wall clock.
 //
 // The hooks compile to nothing unless the CPS_FAULT_INJECT CMake option
 // is ON (tests GTEST_SKIP when fault::enabled() is false): production

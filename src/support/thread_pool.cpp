@@ -121,8 +121,8 @@ bool ThreadPool::try_pop(std::size_t self, Task* out) {
     active_.fetch_add(1);
     pending_.fetch_sub(1);
   };
-  // Strict priority ordering across every source: a kHigh task anywhere
-  // beats the scanner's own kNormal work.
+  // Strict priority ordering across every source: a kNormal task anywhere
+  // beats the scanner's own kLow work.
   for (std::size_t level = 0; level < kPriorities; ++level) {
     if (self != kNotAWorker) {
       WorkerQueue& own = *queues_[self];
@@ -333,11 +333,6 @@ void ThreadPool::parallel_for(std::size_t count,
     }
   }
   if (caller_error) std::rethrow_exception(caller_error);
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(0);
-  return pool;
 }
 
 TaskGroup::~TaskGroup() {

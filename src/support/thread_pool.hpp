@@ -2,7 +2,7 @@
 //
 // Grown out of the batch driver's ad-hoc thread spawning, then a central
 // mutex + single queue pool, and now a work-stealing scheduler: every
-// parallel subsystem (batch co-synthesis, speculative schedule merging,
+// parallel subsystem (batch co-synthesis, the daemon's requests,
 // guard-trie subtree dispatch) shares ONE pool instead of each carving a
 // slice of the machine — nested parallelism (a batch of tree-scheduled
 // items) keeps all cores busy instead of oversubscribing or degenerating
@@ -15,10 +15,10 @@
 //    remaining subtree, and the owner's end stays uncontended);
 //  * a global injection queue for submissions from non-worker threads;
 //  * strict priority ordering across ALL sources: a worker prefers a
-//    kHigh task anywhere (own deque, injection queue, someone else's
-//    deque) over its own kNormal work, so walk-critical jobs (the
-//    merger's speculative adjustments, which DFS-order commits wait on)
-//    are never starved behind bulk batch items;
+//    kNormal task anywhere (own deque, injection queue, someone else's
+//    deque) over its own kLow work, so inner jobs (guard-trie subtrees,
+//    which a running batch item waits on) are never starved behind bulk
+//    batch items;
 //  * nesting support — a task that must wait for child tasks *help-runs*
 //    them (TaskGroup::wait) instead of blocking its worker, so a batch
 //    item running on a worker can fan its subtree jobs out on the same
@@ -27,17 +27,14 @@
 // Design constraints, in order:
 //  * determinism friendliness — the pool never decides *what* result is
 //    produced, only *where* a pure function runs. Callers that need
-//    byte-identical output across thread counts (batch driver, merge,
-//    tree-mode scheduling) keep their own commit ordering; the pool makes
-//    no ordering promise beyond priority preference.
+//    byte-identical output across thread counts (batch driver, tree-mode
+//    scheduling) keep their own commit ordering; the pool makes no
+//    ordering promise beyond priority preference.
 //  * deadlock freedom under nesting — TaskGroup::wait help-runs its own
 //    group's queued tasks (a waiter never idles while its children are
-//    runnable), and jobs may additionally own claim flags (see the
-//    speculative merger) so a blocked consumer can always steal
-//    un-started work back and run it inline.
+//    runnable).
 //  * cheap idling — workers sleep on a condition variable; an idle pool
-//    costs nothing, so a process-wide shared() instance is safe to keep
-//    alive for the program's lifetime.
+//    costs nothing.
 #pragma once
 
 #include <atomic>
@@ -56,9 +53,8 @@ namespace cps {
 /// Scheduling preference of a submitted task. Workers scan levels in
 /// order, across every source, before looking at the next level.
 enum class TaskPriority : std::uint8_t {
-  kHigh = 0,    ///< walk-critical (speculative merge adjustments)
-  kNormal = 1,  ///< default (subtree jobs, parallel_for helpers)
-  kLow = 2,     ///< bulk background work (batch items)
+  kNormal = 0,  ///< default (subtree jobs, parallel_for helpers)
+  kLow = 1,     ///< bulk background work (batch items, daemon requests)
 };
 
 /// Cumulative scheduler counters. Timing-dependent by nature (which
@@ -77,9 +73,7 @@ struct PoolStats {
   /// Tasks queued but not yet claimed at snapshot time (a level, not a
   /// monotonic counter). The balance invariant of a snapshot is
   /// submitted == executed + pending + in-flight; after wait_idle() both
-  /// pending and in-flight are zero, so submitted == executed exactly —
-  /// snapshots no longer show the surprising executed < submitted gap
-  /// that claimed-no-op merge tasks used to leave behind.
+  /// pending and in-flight are zero, so submitted == executed exactly.
   std::uint64_t pending = 0;
   /// Task bodies skipped because their TaskGroup was cancelled (the
   /// wrapper still runs and counts as executed).
@@ -135,12 +129,6 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body,
                     TaskPriority priority = TaskPriority::kNormal);
 
-  /// Process-wide pool sized to the hardware, created on first use.
-  /// Intended for latency-insensitive helpers (speculative merge
-  /// adjustments); subsystems with an explicit thread-count knob (batch
-  /// driver) construct their own.
-  static ThreadPool& shared();
-
   /// Resolve a user-facing thread-count knob: 0 = hardware concurrency.
   static std::size_t resolve_threads(std::size_t requested);
 
@@ -152,7 +140,7 @@ class ThreadPool {
   /// [0, thread_count())), or kNotAWorker for every other thread —
   /// including workers of a different pool. Stable across help-running:
   /// a task help-run inside TaskGroup::wait still executes on the thread
-  /// that waited, and sees that thread's index. Backs WorkerLocal.
+  /// that waited, and sees that thread's index.
   std::size_t worker_index() const;
 
   /// Snapshot of the cumulative scheduler counters (racy-but-consistent
@@ -162,7 +150,7 @@ class ThreadPool {
  private:
   friend class TaskGroup;
 
-  static constexpr std::size_t kPriorities = 3;
+  static constexpr std::size_t kPriorities = 2;
 
   /// A queued unit of work. `tag` identifies the TaskGroup (if any) so a
   /// waiter can help-run its own group's tasks; untagged tasks are only
@@ -285,46 +273,6 @@ class TaskGroup {
   std::size_t next_seq_ = 0;  // guarded by mutex_
   std::size_t error_seq_ = 0;
   std::exception_ptr error_;  // first by submission seq, guarded by mutex_
-};
-
-/// Per-worker slots over one pool: each worker of the pool gets its own
-/// element, plus one spare slot for the single orchestrating thread that
-/// drives the pool from outside (the merge walk, parallel_for's caller).
-/// Slots are created once at construction and never reallocated, so a
-/// worker's reference stays valid for the WorkerLocal's lifetime and T
-/// need not be copyable or movable. Intended for reusable scratch state
-/// (engine workspaces): a slot is only ever touched by the one thread it
-/// belongs to, so no locking is needed — which requires slot users to be
-/// non-reentrant per thread: safe for plain tasks (a task does not nest
-/// mid-computation), but a task that help-runs children while *holding* a
-/// slot must not let those children touch the same WorkerLocal (current
-/// consumers only wait at points where the slot is quiescent). Threads
-/// that are neither pool workers nor the orchestrator share the spare
-/// slot and must not use it concurrently (there is exactly one such
-/// thread in every current caller).
-template <typename T>
-class WorkerLocal {
- public:
-  explicit WorkerLocal(const ThreadPool& pool)
-      : pool_(&pool), slots_(pool.thread_count() + 1) {}
-
-  /// Slot of the calling thread (see class comment).
-  T& local() {
-    const std::size_t i = pool_->worker_index();
-    return i == ThreadPool::kNotAWorker ? slots_.back() : slots_[i];
-  }
-
-  /// Visit every slot (aggregation; only safe once the pool is idle).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (T& slot : slots_) fn(slot);
-  }
-
-  std::size_t size() const { return slots_.size(); }
-
- private:
-  const ThreadPool* pool_;
-  std::vector<T> slots_;
 };
 
 }  // namespace cps

@@ -185,8 +185,8 @@ TEST(BatchDriver, PooledBatchRunsInnerSubtreeJobsOnPoolWorkers) {
   const BatchResult result = run_batch(config);
   ASSERT_EQ(result.summary.ok_count, config.count);
   const PoolStats& pool = result.summary.pool;
-  // The merge quiesces its speculative task group before returning, so
-  // the snapshot is exactly balanced — no claimed no-op wrappers linger.
+  // run_batch drains the pool before snapshotting, so the snapshot is
+  // exactly balanced.
   EXPECT_EQ(pool.executed, pool.submitted);
   EXPECT_GT(pool.executed, static_cast<std::uint64_t>(config.count));
   EXPECT_GT(pool.local_hits + pool.steals, 0u);

@@ -28,13 +28,11 @@ namespace {
 using namespace cps;
 
 /// Sites a serial batch deterministically passes through, in pipeline
-/// order. "merge.adjust" only runs on the serial-merge walk (the
-/// speculative walk routes adjustments through spec jobs + commit), so
-/// it gets its own sweep; "pool.group_task" is exercised at the
-/// TaskGroup level (a serial batch never routes work through one).
+/// order. "pool.group_task" is exercised at the TaskGroup level (a serial
+/// batch never routes work through one).
 const char* const kBatchSites[] = {
-    "batch.item",  "engine.run",  "engine.step",  "trie.subtree",
-    "trie.commit", "merge.spec",  "merge.commit",
+    "batch.item",   "engine.run",  "engine.step",
+    "trie.subtree", "trie.commit", "merge.adjust",
 };
 
 BatchConfig sweep_config() {
@@ -128,31 +126,6 @@ TEST_F(FaultInject, EverySiteFailsExactlyOneItemAndCleanRerunIsIdentical) {
   }
 }
 
-TEST_F(FaultInject, SerialMergeAdjustFaultIsIsolatedToo) {
-  // The serial-merge walk is the only caller of Merger::adjust; give its
-  // site the same treatment as the speculative sweep above.
-  BatchConfig config = sweep_config();
-  config.synthesis.merge.execution = MergeExecution::kSerial;
-  const BatchResult reference = run_batch(config);
-  ASSERT_EQ(reference.summary.ok_count, config.count);
-  const std::string reference_json = json_of(reference);
-
-  fault::FaultSpec spec;
-  spec.fire_at = 1;
-  fault::arm("merge.adjust", spec);
-  const BatchResult faulted = run_batch(config);
-  fault::disarm_all();
-
-  EXPECT_FALSE(faulted.items[0].ok);
-  EXPECT_EQ(faulted.items[0].code, ErrorCode::kInjectedFault);
-  EXPECT_EQ(faulted.summary.ok_count, config.count - 1);
-  for (std::size_t i = 1; i < faulted.items.size(); ++i) {
-    SCOPED_TRACE("item " + std::to_string(i));
-    expect_item_untouched(faulted.items[i], reference.items[i]);
-  }
-  EXPECT_EQ(json_of(run_batch(config)), reference_json);
-}
-
 TEST_F(FaultInject, SurvivingItemsAreByteIdenticalAtEveryThreadCount) {
   // The same sweep through a *pooled* batch: the fault may land in any
   // item (hit order races), but whichever items survive must serialize
@@ -165,7 +138,7 @@ TEST_F(FaultInject, SurvivingItemsAreByteIdenticalAtEveryThreadCount) {
   const std::string pooled_reference_json = json_of(run_batch(config));
   EXPECT_EQ(pooled_reference_json, reference_json);
 
-  for (const char* site : {"engine.step", "merge.commit", "batch.item"}) {
+  for (const char* site : {"engine.step", "merge.adjust", "batch.item"}) {
     SCOPED_TRACE(site);
     fault::FaultSpec spec;
     spec.fire_at = 1;

@@ -302,40 +302,6 @@ TEST(ListScheduler, WorkspaceReuseKeepsRunsIdentical) {
   EXPECT_EQ(ws.stats.reuse_hits, ws.stats.runs - 1);
 }
 
-TEST(ListScheduler, CheckpointFullReuseReturnsRecordedResult) {
-  Architecture arch;
-  arch.add_processor("p");
-  CpgBuilder b(arch);
-  const ProcessId p1 = b.add_process("P1", 0, 2);
-  const ProcessId p2 = b.add_process("P2", 0, 3);
-  b.add_edge(p1, p2);
-  const Cpg g = b.build();
-  const FlatGraph fg = FlatGraph::expand(g);
-  const auto paths = enumerate_paths(g);
-
-  EngineRequest req;
-  req.label = paths[0].label;
-  req.active = fg.active_tasks(paths[0].label);
-  req.priority = compute_priorities(fg, req.active,
-                                    PriorityPolicy::kCriticalPath);
-  req.locks.assign(fg.task_count(), std::nullopt);
-  req.locks[fg.task_of_process(p2)] = TaskLock{10, 0};
-  req.resume = EngineResume::kCheckpoint;
-  EngineHistory history;
-  req.history = &history;
-
-  EngineWorkspace ws;
-  const EngineResult first = run_list_scheduler(fg, req, ws);
-  ASSERT_TRUE(first.feasible);
-  EXPECT_FALSE(first.full_reuse);
-  EXPECT_TRUE(history.valid);
-
-  const EngineResult second = run_list_scheduler(fg, req, ws);
-  EXPECT_TRUE(second.full_reuse);
-  EXPECT_EQ(ws.stats.full_reuses, 1u);
-  expect_engine_equal(fg, first, second);
-}
-
 TEST(ListScheduler, DeadlockIsReportedNotThrown) {
   // An active guarded task whose disjunction is (artificially) inactive
   // can never learn its condition: the engine must report the deadlock
@@ -370,78 +336,19 @@ TEST(ListScheduler, DeadlockIsReportedNotThrown) {
   EXPECT_NE(res.reason.find("deadlock"), std::string::npos);
 }
 
-// Randomized checkpoint-vs-scratch equivalence: evolving rule-3-style
-// lock sets on the paths of seeded CPGs, every run compared against a
-// fresh from-scratch engine. This is the engine-level pillar under the
-// merge-level equivalence suite in test_merge_parallel.cpp.
-TEST(ListScheduler, CheckpointResumeMatchesScratchOnEvolvingLockSets) {
-  std::size_t incremental = 0;  // resumes + full reuses observed
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed);
-    const Architecture arch = generate_random_architecture(rng);
-    RandomCpgParams params;
-    params.process_count = 20 + (seed % 3) * 10;
-    params.path_count = 4 + (seed % 3) * 2;
-    const Cpg g = generate_random_cpg(arch, params, rng);
-    const FlatGraph fg = FlatGraph::expand(g);
-    EngineWorkspace ckpt_ws;
-    EngineWorkspace scratch_ws;
-    Rng lock_rng(seed * 977);
-    for (const AltPath& path : enumerate_paths(g)) {
-      EngineRequest base;
-      base.label = path.label;
-      base.active = fg.active_tasks(path.label);
-      base.priority = compute_priorities(fg, base.active,
-                                         PriorityPolicy::kCriticalPath);
-      base.locks.assign(fg.task_count(), std::nullopt);
-      const EngineResult unlocked = run_list_scheduler(fg, base, scratch_ws);
-      ASSERT_TRUE(unlocked.feasible);
-
-      EngineHistory history;
-      for (int round = 0; round < 6; ++round) {
-        // Lock a random subset of tasks at their unlocked-schedule slots
-        // (like rule 3 does), occasionally nudging one reservation to a
-        // later time — which may make the request infeasible; both
-        // engines must then agree on the offending lock too.
-        EngineRequest ckpt = base;
-        ckpt.resume = EngineResume::kCheckpoint;
-        ckpt.history = &history;
-        for (TaskId t = 0; t < fg.task_count(); ++t) {
-          if (!base.active[t] || !unlocked.schedule.scheduled(t)) continue;
-          if (lock_rng.index(4) != 0) continue;
-          const Slot& slot = unlocked.schedule.slot(t);
-          Time start = slot.start;
-          if (lock_rng.index(8) == 0) {
-            start += static_cast<Time>(1 + lock_rng.index(3));
-          }
-          ckpt.locks[t] = TaskLock{start, slot.resource};
-        }
-        EngineRequest scratch = ckpt;
-        scratch.resume = EngineResume::kFromScratch;
-        scratch.history = nullptr;
-
-        const EngineResult a = run_list_scheduler(fg, ckpt, ckpt_ws);
-        const EngineResult b = run_list_scheduler(fg, scratch, scratch_ws);
-        expect_engine_equal(fg, a, b);
-        if (a.resumed || a.full_reuse) ++incremental;
-      }
-    }
-  }
-  // The sweep must actually exercise the incremental machinery, not just
-  // fall back to from-scratch runs.
-  EXPECT_GT(incremental, 0u);
-}
-
 // Randomized guard-divergence equivalence: one EngineHistory chained
 // across every alternative path of seeded CPGs in enumeration order (the
 // tree driver's usage pattern — consecutive leaves share the longest
 // guard prefix), every chained run compared against a fresh from-scratch
 // engine. This is the engine-level pillar under the driver-level
-// tree-vs-list suite in test_path_tree.cpp.
+// tree-vs-list suite in test_path_tree.cpp. Mid-chain, a request with a
+// lock (the shape of a merge adjustment) is handed the same history: it
+// must run from scratch and leave the chain untouched, so the next
+// lock-free leaf resumes exactly as it would have without it.
 TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
   std::size_t resumed = 0;
   std::size_t resumed_steps = 0;
+  std::size_t resumed_after_lock = 0;
   for (std::uint64_t seed = 41; seed <= 70; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
@@ -455,7 +362,14 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
     EngineWorkspace scratch_ws;
     EngineHistory chain;
     chain.eager = true;
-    for (const AltPath& path : enumerate_paths(g)) {
+    // The same chain without the locked request, as the control.
+    EngineWorkspace control_ws;
+    EngineHistory control;
+    control.eager = true;
+    const std::vector<AltPath> paths = enumerate_paths(g);
+    const std::size_t locked_at = paths.size() / 2;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const AltPath& path = paths[i];
       EngineRequest req;
       req.label = path.label;
       req.active = fg.active_tasks(path.label);
@@ -464,11 +378,29 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
       EngineRequest scratch = req;
       req.resume = EngineResume::kCheckpoint;
       req.history = &chain;
-      const EngineResult a = run_list_scheduler(fg, req, chain_ws);
       const EngineResult b = run_list_scheduler(fg, scratch, scratch_ws);
+      if (i == locked_at) {
+        // Lock the sink at the slot the unlocked run gave it.
+        EngineRequest locked = req;
+        locked.locks.assign(fg.task_count(), std::nullopt);
+        const Slot& sink = b.schedule.slot(fg.sink_task());
+        locked.locks[fg.sink_task()] = TaskLock{sink.start, sink.resource};
+        const EngineResult l = run_list_scheduler(fg, locked, chain_ws);
+        EngineRequest locked_scratch = locked;
+        locked_scratch.resume = EngineResume::kFromScratch;
+        locked_scratch.history = nullptr;
+        expect_engine_equal(
+            fg, l, run_list_scheduler(fg, locked_scratch, scratch_ws));
+        EXPECT_FALSE(l.resumed);
+      }
+      const EngineResult a = run_list_scheduler(fg, req, chain_ws);
       expect_engine_equal(fg, a, b);
       ASSERT_TRUE(a.feasible);
-      EXPECT_FALSE(a.full_reuse);  // labels of distinct leaves differ
+      req.history = &control;
+      const EngineResult c = run_list_scheduler(fg, req, control_ws);
+      EXPECT_EQ(a.resumed, c.resumed);
+      EXPECT_EQ(a.resumed_steps, c.resumed_steps);
+      if (i == locked_at && a.resumed) ++resumed_after_lock;
       if (a.resumed) {
         ++resumed;
         resumed_steps += a.resumed_steps;
@@ -477,9 +409,10 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
     if (::testing::Test::HasFailure()) break;
   }
   // The chain must actually reuse shared prefixes, not degrade to
-  // from-scratch runs.
+  // from-scratch runs — also right after a locked request.
   EXPECT_GT(resumed, 0u);
   EXPECT_GT(resumed_steps, 0u);
+  EXPECT_GT(resumed_after_lock, 0u);
 }
 
 // Property sweep: schedules of random CPGs satisfy all physical

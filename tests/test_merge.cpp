@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
+#include "io/table_csv.hpp"
 #include "models/fig1.hpp"
 #include "sched/driver.hpp"
 #include "test_util.hpp"
@@ -160,29 +163,22 @@ TEST(Merge, CrossResourceConditionIsUnknownWithoutBroadcast) {
   schedules[1].place(task_x, 3, 6, 1);
   schedules[1].place(task_sink, 6, 6, 0);
 
-  for (const MergeExecution execution :
-       {MergeExecution::kSerial, MergeExecution::kSpeculative}) {
-    SCOPED_TRACE(to_string(execution));
-    MergeOptions options;
-    options.execution = execution;
-    const MergeResult merged =
-        merge_schedules(fg, paths, schedules, options);
+  const MergeResult merged = merge_schedules(fg, paths, schedules);
 
-    // X's activation from the true-path schedule must sit in the
-    // unconditional column: C is not (and will never be) known on cpu2.
-    bool found_unconditional = false;
-    for (const TableEntry& e : merged.table.row(task_x)) {
-      EXPECT_NE(e.column.value_of(c), true)
-          << "column claims C is known on cpu2 at t=" << e.start
-          << " without a scheduled broadcast";
-      if (e.column.is_true() && e.start == 5) found_unconditional = true;
-    }
-    EXPECT_TRUE(found_unconditional);
-    // The same-resource column is unaffected: T runs on the PE that
-    // computes C, so its activation legitimately lives in column "C".
-    ASSERT_EQ(merged.table.row(task_t).size(), 1u);
-    EXPECT_EQ(merged.table.row(task_t)[0].column, Cube(Literal{c, true}));
+  // X's activation from the true-path schedule must sit in the
+  // unconditional column: C is not (and will never be) known on cpu2.
+  bool found_unconditional = false;
+  for (const TableEntry& e : merged.table.row(task_x)) {
+    EXPECT_NE(e.column.value_of(c), true)
+        << "column claims C is known on cpu2 at t=" << e.start
+        << " without a scheduled broadcast";
+    if (e.column.is_true() && e.start == 5) found_unconditional = true;
   }
+  EXPECT_TRUE(found_unconditional);
+  // The same-resource column is unaffected: T runs on the PE that
+  // computes C, so its activation legitimately lives in column "C".
+  ASSERT_EQ(merged.table.row(task_t).size(), 1u);
+  EXPECT_EQ(merged.table.row(task_t)[0].column, Cube(Literal{c, true}));
 }
 
 struct MergeSweepParam {
@@ -321,6 +317,273 @@ TEST(MergeConflicts, PaperParametersNeverLeaveConflictsUnresolved) {
     EXPECT_EQ(r.merge_stats.unresolved_conflicts, 0u);
     EXPECT_EQ(r.merge_stats.column_clashes, 0u);
   }
+}
+
+// ---------------------------------------------------------------------
+// Golden outputs: the exact table (as a digest of its CSV rendering) and
+// the eight MergeStats counters of every merge, pinned for Fig. 1, 100
+// seeded random CPGs and the kRandom-priority stress family above. Any
+// change to the walk's output — a different lock, conflict move or start
+// time — shows up here.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// FNV-1a 64 of a table's CSV rendering.
+std::uint64_t table_digest(const ScheduleTable& table) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : table_csv_string(table)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct MergeGolden {
+  std::uint64_t csv_digest;
+  std::size_t backsteps;
+  std::size_t adjustments;
+  std::size_t locks;
+  std::size_t conflicts;
+  std::size_t conflict_moves;
+  std::size_t unresolved_conflicts;
+  std::size_t relaxed_locks;
+  std::size_t column_clashes;
+
+  friend bool operator==(const MergeGolden& a, const MergeGolden& b) {
+    return a.csv_digest == b.csv_digest && a.backsteps == b.backsteps &&
+           a.adjustments == b.adjustments && a.locks == b.locks &&
+           a.conflicts == b.conflicts &&
+           a.conflict_moves == b.conflict_moves &&
+           a.unresolved_conflicts == b.unresolved_conflicts &&
+           a.relaxed_locks == b.relaxed_locks &&
+           a.column_clashes == b.column_clashes;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const MergeGolden& g) {
+    return os << std::hex << "{0x" << g.csv_digest << std::dec << ", "
+              << g.backsteps << ", " << g.adjustments << ", " << g.locks
+              << ", " << g.conflicts << ", " << g.conflict_moves << ", "
+              << g.unresolved_conflicts << ", " << g.relaxed_locks << ", "
+              << g.column_clashes << "}";
+  }
+};
+
+MergeGolden golden_of(const ScheduleTable& table, const MergeStats& s) {
+  return MergeGolden{table_digest(table), s.backsteps, s.adjustments, s.locks,
+                     s.conflicts, s.conflict_moves, s.unresolved_conflicts,
+                     s.relaxed_locks, s.column_clashes};
+}
+
+/// Critical-path per-path schedules merged with the default options.
+MergeGolden merge_golden(const Cpg& g) {
+  const FlatGraph fg = FlatGraph::expand(g);
+  std::vector<AltPath> paths;
+  std::vector<PathSchedule> schedules;
+  CoverCache cache;
+  PathEnumerator en(g);
+  while (auto path = en.next()) {
+    paths.push_back(std::move(*path));
+    schedules.push_back(schedule_path(fg, paths.back(),
+                                      PriorityPolicy::kCriticalPath, nullptr,
+                                      ReadySelection::kHeap, &cache));
+  }
+  const MergeResult r = merge_schedules(fg, paths, schedules);
+  EXPECT_TRUE(r.ok) << r.error;
+  return golden_of(r.table, r.stats);
+}
+
+constexpr MergeGolden kFig1Golden = {0xd38249b87a5ba51bull, 5, 5, 59, 0,
+                                     0, 0, 0, 0};
+
+/// Seeds 1..100 of SeededRandomCpgsMatchTheirGoldens, in order.
+constexpr MergeGolden kSeededGoldens[] = {
+    {0xfc9b9e575e89c959ull, 6, 6, 65, 0, 0, 0, 0, 0},
+    {0x0ac499e53470c746ull, 9, 9, 349, 0, 0, 0, 0, 0},
+    {0x19a560209f93e385ull, 12, 12, 232, 0, 0, 0, 0, 0},
+    {0xba2f2a62e16c4f0dull, 15, 15, 371, 0, 0, 0, 0, 0},
+    {0xbb4fb8f3145bf40eull, 3, 3, 41, 0, 0, 0, 0, 0},
+    {0xa1114bc3291035a5ull, 6, 6, 104, 0, 0, 0, 0, 0},
+    {0x907f7e8de2a71780ull, 9, 9, 154, 0, 0, 0, 0, 0},
+    {0x3e882451700662ffull, 12, 12, 125, 0, 0, 0, 0, 0},
+    {0x01e47b9ce56d6baeull, 15, 15, 261, 0, 0, 0, 0, 0},
+    {0xaab7c865a61d67c2ull, 3, 3, 24, 0, 0, 0, 0, 0},
+    {0xf6fd957868d0ae4eull, 6, 6, 80, 0, 0, 0, 0, 0},
+    {0x2d2c0f0986ca06edull, 9, 9, 80, 0, 0, 0, 0, 0},
+    {0xbb5b38d53c80e30eull, 12, 12, 209, 0, 0, 0, 0, 0},
+    {0x0a296c9e9f64b9f4ull, 15, 15, 307, 0, 0, 0, 0, 0},
+    {0x11764f6ad263e2aaull, 3, 3, 131, 0, 0, 0, 0, 0},
+    {0xdcf66b8de6b01ce9ull, 6, 6, 62, 0, 0, 0, 0, 0},
+    {0x0a5f61463b907357ull, 9, 9, 133, 0, 0, 0, 0, 0},
+    {0x06685b182ee772dfull, 12, 12, 195, 0, 0, 0, 0, 0},
+    {0xf7d02cd66fdbca19ull, 15, 15, 358, 0, 0, 0, 0, 0},
+    {0x70e1f534412922cbull, 3, 3, 35, 0, 0, 0, 0, 0},
+    {0xcebac8b8f245b13bull, 6, 6, 86, 0, 0, 0, 0, 0},
+    {0x45d902cb77a019fcull, 9, 9, 345, 0, 0, 0, 0, 0},
+    {0x3baa1d8280a1c47full, 12, 12, 245, 0, 0, 0, 0, 0},
+    {0x660b969529210d5full, 15, 15, 264, 0, 0, 0, 0, 0},
+    {0xb20467a075c66c64ull, 3, 3, 46, 0, 0, 0, 0, 0},
+    {0x98fa38d531cf96cfull, 6, 6, 83, 0, 0, 0, 0, 0},
+    {0x8a4e822a94909f2bull, 9, 9, 243, 0, 0, 0, 0, 0},
+    {0x6e5a6dce73058dc6ull, 12, 12, 153, 0, 0, 0, 0, 0},
+    {0x34e4a048a5e354a7ull, 15, 15, 237, 0, 0, 0, 0, 0},
+    {0x5504f3eb76002876ull, 3, 3, 56, 0, 0, 0, 0, 0},
+    {0xa052b8ed5fc2c67cull, 6, 6, 60, 0, 0, 0, 0, 0},
+    {0x99ac44f74f2a1d0aull, 9, 9, 131, 0, 0, 0, 0, 0},
+    {0xcbe8e4cf2f407d18ull, 12, 12, 143, 0, 0, 0, 0, 0},
+    {0x72786cf67ef7a94aull, 15, 15, 330, 0, 0, 0, 0, 0},
+    {0xf8ea3e1dc54f6c7cull, 3, 3, 98, 0, 0, 0, 0, 0},
+    {0x7db7ebf55639db19ull, 6, 6, 61, 0, 0, 0, 0, 0},
+    {0xa0f8aa33a2a59afbull, 9, 9, 118, 0, 0, 0, 0, 0},
+    {0xb506b3bf0e6df397ull, 12, 12, 176, 0, 0, 0, 0, 0},
+    {0xa44d622ced556564ull, 15, 15, 670, 0, 0, 0, 0, 0},
+    {0xd510a1eef0f77f2eull, 3, 3, 28, 0, 0, 0, 0, 0},
+    {0x6b6148474263017dull, 6, 6, 72, 0, 0, 0, 0, 0},
+    {0x12593ea7534da8aaull, 9, 9, 106, 0, 0, 0, 0, 0},
+    {0xb6ec5407ca1bc277ull, 12, 12, 335, 0, 0, 0, 0, 0},
+    {0x008fbd8f9aaeb5b6ull, 15, 15, 221, 0, 0, 0, 0, 0},
+    {0x0ec6a68752a4fd32ull, 3, 3, 49, 0, 0, 0, 0, 0},
+    {0x159e210e6803f31aull, 6, 6, 76, 0, 0, 0, 0, 0},
+    {0x04d2a2bc1d630899ull, 9, 9, 270, 0, 0, 0, 0, 0},
+    {0x06e05d9fc6926649ull, 12, 12, 130, 0, 0, 0, 0, 0},
+    {0x2328b87fc66695e0ull, 15, 15, 298, 0, 0, 0, 0, 0},
+    {0x6ff0d053e226d489ull, 3, 3, 41, 0, 0, 0, 0, 0},
+    {0x39e02627a79095ccull, 6, 6, 77, 0, 0, 0, 0, 0},
+    {0x954708cd8a472700ull, 9, 9, 143, 0, 0, 0, 0, 0},
+    {0xfea9bdef416ea77aull, 12, 12, 211, 0, 0, 0, 0, 0},
+    {0xc39ba76424749a6bull, 15, 15, 557, 0, 0, 0, 0, 0},
+    {0xb7ae396ce4101b52ull, 3, 3, 66, 0, 0, 0, 0, 0},
+    {0x9af2e8cba6275fd3ull, 6, 6, 66, 0, 0, 0, 0, 0},
+    {0xa35e14aa617fff3aull, 9, 9, 60, 0, 0, 0, 0, 0},
+    {0xdb91425f25aed757ull, 12, 12, 160, 0, 0, 0, 0, 0},
+    {0x771d6e0da657bdffull, 15, 15, 386, 0, 0, 0, 0, 0},
+    {0x2dc75f0efe823b87ull, 3, 3, 26, 0, 0, 0, 0, 0},
+    {0x3ddf5f3bbbdada2aull, 6, 6, 68, 0, 0, 0, 0, 0},
+    {0x50bce3def50cef98ull, 9, 9, 245, 0, 0, 0, 0, 0},
+    {0xb2cb869b7268b2a1ull, 12, 12, 176, 0, 0, 0, 0, 0},
+    {0x6cf1e22c863c4ce2ull, 15, 15, 328, 0, 0, 0, 0, 0},
+    {0x9ba0789e02c41507ull, 3, 3, 28, 0, 0, 0, 0, 0},
+    {0xb865eeaa0114800aull, 6, 6, 72, 0, 0, 0, 0, 0},
+    {0x8c06760c1b531531ull, 9, 9, 197, 0, 0, 0, 0, 0},
+    {0xf8e55fc53705dde8ull, 12, 12, 141, 0, 0, 0, 0, 0},
+    {0xcac049971ced627aull, 15, 15, 227, 0, 0, 0, 0, 0},
+    {0x2779bdbb2b4fd033ull, 3, 3, 61, 0, 0, 0, 0, 0},
+    {0xa42a645cb3d48a17ull, 6, 6, 97, 0, 0, 0, 0, 0},
+    {0xe8b7159ddd3e0941ull, 9, 9, 206, 0, 0, 0, 0, 0},
+    {0xe578754ef30a39beull, 12, 12, 254, 0, 0, 0, 0, 0},
+    {0x95729cbac5bf8b54ull, 15, 15, 542, 0, 0, 0, 0, 0},
+    {0x91c77d4c93691ceeull, 3, 3, 26, 0, 0, 0, 0, 0},
+    {0xaa1017c90d2df70aull, 6, 6, 67, 0, 0, 0, 0, 0},
+    {0x7ae363dd5ca26f2eull, 9, 9, 154, 0, 0, 0, 0, 0},
+    {0xa1d616c3000f53c4ull, 12, 12, 133, 0, 0, 0, 0, 0},
+    {0x2aa2a35ac1dc6314ull, 15, 15, 319, 0, 0, 0, 0, 0},
+    {0xc79d438bf0aa99cbull, 3, 3, 18, 0, 0, 0, 0, 0},
+    {0x98e02c344807c58bull, 6, 6, 68, 0, 0, 0, 0, 0},
+    {0x0cdad82281db3396ull, 9, 9, 247, 0, 0, 0, 0, 0},
+    {0x429a2617116018ceull, 12, 12, 173, 0, 0, 0, 0, 0},
+    {0x2dc963da1666a8f1ull, 15, 15, 315, 0, 0, 0, 0, 0},
+    {0xce7203d794258327ull, 3, 3, 22, 0, 0, 0, 0, 0},
+    {0x0681d4044ef57e7bull, 6, 6, 64, 0, 0, 0, 0, 0},
+    {0xa5d35ac5ea8ee688ull, 9, 9, 302, 0, 0, 0, 0, 0},
+    {0xb74a3625ba2c0443ull, 12, 12, 152, 0, 0, 0, 0, 0},
+    {0x20e6ad78a35effeaull, 15, 15, 380, 0, 0, 0, 0, 0},
+    {0xa10540d454729dfcull, 3, 3, 52, 0, 0, 0, 0, 0},
+    {0xfb54685e12f4c1f0ull, 6, 6, 144, 0, 0, 0, 0, 0},
+    {0xf27924fb3d314f7aull, 9, 9, 138, 0, 0, 0, 0, 0},
+    {0x989fa2e5c46c99e0ull, 12, 12, 154, 0, 0, 0, 0, 0},
+    {0x9070160e195b13ffull, 15, 15, 639, 0, 0, 0, 0, 0},
+    {0xc6ac1603e3533325ull, 3, 3, 76, 0, 0, 0, 0, 0},
+    {0x645760e05d529f6aull, 6, 6, 59, 0, 0, 0, 0, 0},
+    {0xa00f3d731ecfb06cull, 9, 9, 185, 0, 0, 0, 0, 0},
+    {0x1e241fcfc33b711aull, 12, 12, 139, 0, 0, 0, 0, 0},
+    {0x9248f907ea2464c0ull, 15, 15, 398, 0, 0, 0, 0, 0},
+    {0x049aca8e9acc3b43ull, 3, 3, 36, 0, 0, 0, 0, 0},
+};
+
+/// stress_graph seeds 1..40 under stress_merge, in order.
+constexpr MergeGolden kStressGoldens[] = {
+    {0xfa555686ac2de04cull, 11, 11, 298, 0, 0, 0, 0, 0},
+    {0x60a42e3b86f6418full, 17, 17, 566, 0, 0, 0, 0, 0},
+    {0xaf8fe830e532a43aull, 5, 5, 99, 0, 0, 0, 0, 0},
+    {0xb0b5f93c75c30c1dull, 11, 11, 266, 0, 0, 0, 0, 0},
+    {0x3138d5865a14ecc3ull, 17, 17, 522, 0, 0, 0, 0, 0},
+    {0x2a27a26653e4cea5ull, 5, 5, 49, 0, 0, 0, 0, 0},
+    {0x09ac46657f12a5d7ull, 11, 11, 186, 0, 0, 0, 0, 0},
+    {0xeb2f3c4a0bfd62f2ull, 17, 17, 483, 0, 0, 0, 0, 0},
+    {0x7a09424e71450614ull, 5, 5, 117, 0, 0, 0, 0, 0},
+    {0x622321c165d88d2bull, 11, 11, 184, 0, 0, 0, 0, 0},
+    {0x0618caaee8f90695ull, 17, 17, 453, 0, 0, 0, 0, 0},
+    {0xaffbc920acc89fb8ull, 5, 5, 85, 0, 0, 0, 0, 0},
+    {0x2ca158299585b14bull, 11, 11, 169, 3, 3, 0, 0, 0},
+    {0x5e2badfa7d159665ull, 17, 17, 211, 0, 0, 0, 0, 0},
+    {0xda700430ae773e06ull, 5, 5, 109, 2, 0, 2, 2, 0},
+    {0x24d70beffc2e4d4dull, 11, 11, 123, 0, 0, 0, 0, 0},
+    {0x271829ce1fe316c1ull, 17, 17, 214, 0, 0, 0, 0, 0},
+    {0x24c9f92a5a8dcd1full, 5, 5, 107, 0, 0, 0, 0, 0},
+    {0x1ab7e9268b159ebcull, 11, 11, 254, 0, 0, 0, 0, 0},
+    {0x9a9fd9b5d3e0109dull, 17, 17, 437, 0, 0, 0, 0, 0},
+    {0x9aa453a57b3d2ee8ull, 5, 5, 86, 0, 0, 0, 0, 0},
+    {0x063dbf21d3a6823eull, 11, 11, 364, 0, 0, 0, 0, 0},
+    {0x5db0787aa0f27b67ull, 17, 17, 557, 0, 0, 0, 0, 0},
+    {0xdd602eaaebaecbb9ull, 5, 5, 91, 0, 0, 0, 0, 0},
+    {0x5548d8771bdf0ad1ull, 11, 11, 307, 0, 0, 0, 0, 0},
+    {0xe7b87cca44e6be2bull, 17, 17, 413, 0, 0, 0, 0, 0},
+    {0xa91bbf5c7b60abf5ull, 5, 5, 82, 0, 0, 0, 0, 0},
+    {0x4b64f532d4285774ull, 11, 11, 234, 0, 0, 0, 0, 0},
+    {0x7c0f9d3f7766bb88ull, 17, 17, 226, 0, 0, 0, 0, 0},
+    {0x2a3651f8484a7211ull, 5, 5, 107, 0, 0, 0, 0, 0},
+    {0xf094052d8997068cull, 11, 11, 172, 0, 0, 0, 0, 0},
+    {0x33db80a2b5e7572dull, 17, 17, 594, 0, 0, 0, 0, 0},
+    {0x0835e91491d04190ull, 5, 5, 90, 0, 0, 0, 0, 0},
+    {0x0708bced0056de8aull, 11, 11, 241, 0, 0, 0, 0, 0},
+    {0x246eb7b5d1edf628ull, 17, 17, 488, 0, 0, 0, 0, 0},
+    {0x48882a8ca33b818cull, 5, 5, 68, 0, 0, 0, 0, 0},
+    {0x162c1bcc56e0967dull, 11, 11, 176, 0, 0, 0, 0, 0},
+    {0x50ef6ac5a61f93fcull, 17, 17, 419, 0, 0, 0, 0, 0},
+    {0xf033d376f0ad44d8ull, 5, 5, 105, 0, 0, 0, 0, 0},
+    {0xae12099cca6436a7ull, 11, 11, 389, 0, 0, 0, 0, 0},
+};
+
+}  // namespace
+
+TEST(MergeGolden, Fig1MatchesItsGolden) {
+  EXPECT_EQ(merge_golden(build_fig1_cpg()), kFig1Golden);
+}
+
+TEST(MergeGolden, SeededRandomCpgsMatchTheirGoldens) {
+  // The paper's architecture distribution (1-11 processors + ASIC + 1-8
+  // buses: virtually always multi-PE, so broadcast knowledge lag is
+  // exercised), with varying sizes, path counts and distributions.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const Architecture arch = generate_random_architecture(rng);
+    RandomCpgParams params;
+    params.process_count = 20 + (seed % 4) * 10;
+    params.path_count = 4 + (seed % 5) * 3;
+    params.distribution = (seed % 2) == 0 ? TimeDistribution::kUniform
+                                          : TimeDistribution::kExponential;
+    const Cpg g = generate_random_cpg(arch, params, rng);
+    EXPECT_EQ(merge_golden(g), kSeededGoldens[seed - 1]);
+  }
+}
+
+TEST(MergeGolden, RandomPriorityStressFamilyMatchesItsGoldens) {
+  // Divergent per-path schedules plus slow broadcasts: the family that
+  // reaches §5.2 conflict resolution and the lock-relaxation loop.
+  std::size_t conflict_moves = 0;
+  std::size_t relaxed_locks = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Cpg g = stress_graph(seed, 6 + (seed % 3) * 6);
+    const CoSynthesisResult r = stress_merge(g);
+    EXPECT_EQ(golden_of(r.table, r.merge_stats), kStressGoldens[seed - 1]);
+    conflict_moves += r.merge_stats.conflict_moves;
+    relaxed_locks += r.merge_stats.relaxed_locks;
+  }
+  // The pins only guard resolve_conflicts and the relaxation loop while
+  // the family still reaches them.
+  EXPECT_GT(conflict_moves, 0u);
+  EXPECT_GT(relaxed_locks, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // submit and help-run child tasks), exceptions crossing steal boundaries,
 // worker_index() stability under help-running, strict priority ordering,
 // and the scheduler counters. These are the scenarios the unified
-// batch/merge/trie parallelism relies on; the file also anchors the
+// batch/trie parallelism relies on; the file also anchors the
 // ThreadSanitizer CI job, so prefer many small concurrent interactions
 // over big single-threaded assertions.
 #include <gtest/gtest.h>
@@ -134,7 +134,8 @@ TEST(PoolStress, WorkerIndexIsStableUnderHelpRunning) {
   // worker_index() must identify the *executing thread*, not the task's
   // origin: a help-run child observes the waiter's index. Recording every
   // (thread, index) pair over a nested workload, each thread must see
-  // exactly one index — anything else would corrupt WorkerLocal slots.
+  // exactly one index — anything else would misroute push_task to
+  // another worker's deque.
   ThreadPool pool(2);
   std::mutex mutex;
   std::map<std::thread::id, std::set<std::size_t>> seen;
@@ -166,7 +167,7 @@ TEST(PoolStress, WorkerIndexIsStableUnderHelpRunning) {
   EXPECT_EQ(*it->second.begin(), ThreadPool::kNotAWorker);
 }
 
-TEST(PoolStress, PrioritiesDrainHighBeforeNormalBeforeLow) {
+TEST(PoolStress, PrioritiesDrainNormalBeforeLow) {
   // One worker, held at the gate while the backlog builds up, then
   // released: the drain order must follow priority levels, not FIFO.
   ThreadPool pool(1);
@@ -181,13 +182,14 @@ TEST(PoolStress, PrioritiesDrainHighBeforeNormalBeforeLow) {
       order.push_back(value);
     };
   };
-  pool.submit(tag(2), TaskPriority::kLow);
-  pool.submit(tag(2), TaskPriority::kLow);
-  pool.submit(tag(1), TaskPriority::kNormal);
-  pool.submit(tag(0), TaskPriority::kHigh);
+  pool.submit(tag(1), TaskPriority::kLow);
+  pool.submit(tag(1), TaskPriority::kLow);
+  pool.submit(tag(0), TaskPriority::kNormal);
+  pool.submit(tag(1), TaskPriority::kLow);
+  pool.submit(tag(0), TaskPriority::kNormal);
   gate.release();
   pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 2}));
+  EXPECT_EQ(order, (std::vector<int>{0, 0, 1, 1, 1}));
 }
 
 TEST(PoolStress, WaiterHelpRunsTheGroupWhenAllWorkersAreBusy) {
@@ -240,6 +242,7 @@ TEST(PoolStress, CountersBalanceUnderConcurrentNestedChurn) {
   // nested groups, priorities — then drain and require exact balance:
   // submitted == executed and pending == 0 after wait_idle(), at every
   // pool size. This is the invariant stats() readers (batch JSON) rely on.
+  // The two levels nest like a batch: kLow items fan out kNormal children.
   for (std::size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
     std::atomic<int> ran{0};
@@ -249,7 +252,7 @@ TEST(PoolStress, CountersBalanceUnderConcurrentNestedChurn) {
           TaskGroup inner(pool);
           for (int j = 0; j < 8; ++j) {
             inner.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); },
-                         TaskPriority::kHigh);
+                         TaskPriority::kNormal);
           }
           inner.wait();
         },
@@ -264,12 +267,11 @@ TEST(PoolStress, CountersBalanceUnderConcurrentNestedChurn) {
   }
 }
 
-TEST(PoolStress, SpeculativeMergeQuiescesItsTasksBeforeReturning) {
-  // A speculative merge claims committed jobs and leaves the queued
-  // wrappers as no-ops; before this PR those wrappers could still be
-  // pending when merge returned, so an immediate stats() snapshot read
-  // executed < submitted. The merge now waits for its own task group:
-  // the ledger must balance the moment schedule_cpg returns — no
+TEST(PoolStress, SubtreeWalkQuiescesItsTasksBeforeReturning) {
+  // The decomposed guard-trie walk runs its subtree jobs as one
+  // parallel_for group on the caller's pool. A group task counts itself
+  // executed before it releases the group's waiter (ThreadPool::run_task),
+  // so the ledger must balance the moment schedule_cpg returns — no
   // wait_idle() allowed here, that is the point.
   for (std::size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
@@ -282,11 +284,14 @@ TEST(PoolStress, SpeculativeMergeQuiescesItsTasksBeforeReturning) {
       params.path_count = 6;
       const Cpg g = generate_random_cpg(arch, params, rng);
       CoSynthesisOptions options;
-      options.merge.execution = MergeExecution::kSpeculative;
-      options.merge.pool = &pool;
+      options.path_scheduling = PathScheduling::kTree;
+      options.schedule_pool = &pool;
+      options.subtree_frontier = 4;
       const CoSynthesisResult result = schedule_cpg(g, options);
       EXPECT_EQ(result.status, ErrorCode::kOk);
+      EXPECT_GT(result.tree.subtrees_parallel, 1u) << "seed " << seed;
       const PoolStats stats = pool.stats();
+      EXPECT_GT(stats.submitted, 0u) << "seed " << seed;
       EXPECT_EQ(stats.submitted, stats.executed)
           << "pool size " << threads << ", seed " << seed;
       EXPECT_EQ(stats.pending, 0u)

@@ -34,7 +34,6 @@ BatchConfig tiny_workload() {
   config.base_seed = 42;
   config.cpg.process_count = 16;
   config.cpg.path_count = 4;
-  config.synthesis.merge.execution = MergeExecution::kSerial;
   return config;
 }
 

@@ -534,13 +534,6 @@ TEST(ThreadPool, ResolveThreadsDefaultsToHardware) {
   EXPECT_EQ(pool.thread_count(), 4u);
 }
 
-TEST(ThreadPool, SharedPoolIsUsableRepeatedly) {
-  std::atomic<int> ran{0};
-  ThreadPool::shared().parallel_for(16, [&](std::size_t) { ++ran; });
-  ThreadPool::shared().parallel_for(16, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(ThreadPool, TaskGroupWaitsForAllSubmittedTasks) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
@@ -609,7 +602,7 @@ TEST(ThreadPool, StatsDeltaSinceIsolatesACallWindow) {
   pool.wait_idle();
   const PoolStats before = pool.stats();
   std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ++ran; }, TaskPriority::kHigh);
+  pool.parallel_for(8, [&](std::size_t) { ++ran; }, TaskPriority::kLow);
   pool.wait_idle();
   const PoolStats delta = pool.stats().delta_since(before);
   EXPECT_EQ(ran.load(), 8);

@@ -80,9 +80,6 @@ int main(int argc, char** argv) try {
     std::cerr << "unknown --ready value: " << ready << '\n';
     return 1;
   }
-  // Requests are the unit of parallelism (same reasoning as the batch
-  // driver's throughput sweep): serial merges keep the pool for requests.
-  options.workload.synthesis.merge.execution = MergeExecution::kSerial;
 
   // SIGTERM/SIGINT become a readable fd the event loop polls; the drain
   // path is the same one a "shutdown" request takes.
