@@ -279,8 +279,13 @@ struct EngineWorkspace {
   std::vector<ReadyHeap> ready;
   std::vector<TaskId> hw_ready;
   std::vector<TaskId> bcast_pending;
-  std::vector<TaskId> locked_tasks;
+  /// Lock reservations as events: the active locked tasks sorted by
+  /// (start, id), the same order split by lock resource, and per resource
+  /// a cursor on its earliest unstarted lock (the run's cursor into
+  /// lock_order is an engine scalar).
+  std::vector<TaskId> lock_order;
   std::vector<std::vector<TaskId>> locks_on_res;
+  std::vector<std::size_t> lock_res_next;
 
   // Checkpoint support.
   std::vector<Time> act;

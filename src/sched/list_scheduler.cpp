@@ -48,8 +48,9 @@ class Engine {
         ready_(ws.ready),
         hw_ready_(ws.hw_ready),
         bcast_pending_(ws.bcast_pending),
-        locked_tasks_(ws.locked_tasks),
+        lock_order_(ws.lock_order),
         locks_on_res_(ws.locks_on_res),
+        lock_res_next_(ws.lock_res_next),
         act_(ws.act),
         cond_known_(ws.cond_known) {}
 
@@ -94,6 +95,9 @@ class Engine {
   bool fits_fast(PeId res, Time now, Time dur) const;
   void enqueue_ready(TaskId t);
   bool try_starts_heap(Time now);
+  /// Sort the active locks by (start, id) into lock_order_ and the
+  /// per-resource lists, and reset their cursors.
+  void init_lock_order();
 
   // ---- checkpoint resume (EngineResume::kCheckpoint).
 
@@ -112,6 +116,11 @@ class Engine {
   bool try_starts(Time now) {
     return heap_mode() ? try_starts_heap(now) : try_starts_reference(now);
   }
+  /// After the fixpoint at `now`: the lowest-id lock reserved at or before
+  /// `now` that has not started (the run then fails on it), if any.
+  std::optional<TaskId> missed_lock(Time now);
+  /// Earliest reservation of a lock that has not started (kInf if none).
+  Time next_lock_start() const;
   void start_task(TaskId t, Time now, PeId res);
   void complete_task(TaskId t, Time now);
   /// Record that `c`'s value became known on `res` at `when` (knowledge
@@ -172,8 +181,16 @@ class Engine {
   std::vector<ReadyHeap>& ready_;          // by PeId (sequential only)
   std::vector<TaskId>& hw_ready_;          // dep-ready hardware tasks
   std::vector<TaskId>& bcast_pending_;     // unstarted broadcast tasks
-  std::vector<TaskId>& locked_tasks_;      // active locked tasks
+  // Lock reservations as events: the active locked tasks sorted by
+  // (start, id), and the same order split by lock resource. The clock
+  // stops at every lock start and a lock missed at its start fails the
+  // run, so every unstarted lock starts at or after `now`. lock_next_ is
+  // the first lock in lock_order_ the clock has not yet passed;
+  // lock_res_next_[res] is the earliest unstarted lock on `res`.
+  std::vector<TaskId>& lock_order_;
+  std::size_t lock_next_ = 0;
   std::vector<std::vector<TaskId>>& locks_on_res_;  // by PeId
+  std::vector<std::size_t>& lock_res_next_;         // by PeId
 
   // act_[t]: time the last active predecessor of t completed — the first
   // moment t could possibly start (kInf if it never happened). Drives the
@@ -410,18 +427,34 @@ bool Engine::knowledge_ok_fast(TaskId t, PeId res) const {
 }
 
 bool Engine::fits_fast(PeId res, Time now, Time dur) const {
-  if (locks_.empty()) return true;
+  // Every unstarted lock on `res` starts at or after `now`, so
+  // [now, now + dur) avoids them all (zero-length ones included) iff it
+  // ends by the earliest one — the reference's overlap tests reduce to
+  // this single comparison.
   if (!seq_[res]) return true;
-  for (TaskId t : locks_on_res_[res]) {
-    if (started_[t]) continue;
-    const TaskLock& l = *locks_[t];
-    const Time lock_end = l.start + fg_.task(t).duration;
-    if (l.start < now + dur && now < lock_end) return false;
-    if (fg_.task(t).duration == 0 && l.start >= now && l.start < now + dur) {
-      return false;
-    }
+  const std::vector<TaskId>& on_res = locks_on_res_[res];
+  const std::size_t next = lock_res_next_[res];
+  return next == on_res.size() || lock(on_res[next]).start >= now + dur;
+}
+
+void Engine::init_lock_order() {
+  lock_order_.clear();
+  for (std::vector<TaskId>& on_res : locks_on_res_) on_res.clear();
+  locks_on_res_.resize(fg_.arch().pe_count());
+  lock_res_next_.assign(fg_.arch().pe_count(), 0);
+  lock_next_ = 0;
+  if (locks_.empty()) return;
+  for (TaskId t = 0; t < fg_.task_count(); ++t) {
+    if (active(t) && locked(t)) lock_order_.push_back(t);
   }
-  return true;
+  // Same-start locks keep id order: step 1 starts them in that order and
+  // the lowest-id miss is the reported offending lock.
+  std::sort(lock_order_.begin(), lock_order_.end(), [this](TaskId a, TaskId b) {
+    const Time sa = lock(a).start;
+    const Time sb = lock(b).start;
+    return sa != sb ? sa < sb : a < b;
+  });
+  for (TaskId t : lock_order_) locks_on_res_[lock(t).resource].push_back(t);
 }
 
 void Engine::enqueue_ready(TaskId t) {
@@ -441,10 +474,12 @@ void Engine::enqueue_ready(TaskId t) {
 bool Engine::try_starts_heap(Time now) {
   bool any = false;
 
-  // 1. Locked tasks reaching their fixed start time.
-  for (TaskId t : locked_tasks_) {
+  // 1. Locked tasks reaching their fixed start time: the locks from the
+  //    cursor up to the first later reservation, in id order.
+  for (std::size_t i = lock_next_; i < lock_order_.size(); ++i) {
+    const TaskId t = lock_order_[i];
+    if (lock(t).start > now) break;
     if (started_[t]) continue;
-    if (lock(t).start != now) continue;
     if (!deps_done(t, now)) continue;
     const PeId res = lock(t).resource;
     if (!knowledge_ok_fast(t, res)) continue;
@@ -754,6 +789,12 @@ void Engine::start_task(TaskId t, Time now, PeId res) {
   const Time dur = fg_.task(t).duration;
   started_[t] = true;
   sched_.place(t, now, now + dur, res);
+  if (heap_mode() && locked(t)) {
+    // Keep the resource's cursor on its earliest unstarted lock.
+    const std::vector<TaskId>& on_res = locks_on_res_[res];
+    std::size_t& next = lock_res_next_[res];
+    while (next < on_res.size() && started_[on_res[next]]) ++next;
+  }
   if (record_ckpts_) {
     req_.history->log.push_back(StartEvent{t, now, now + dur, res});
   }
@@ -812,6 +853,43 @@ void Engine::complete_task(TaskId t, Time now) {
     const CondId c = *task.broadcasts;
     for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c, now);
   }
+}
+
+std::optional<TaskId> Engine::missed_lock(Time now) {
+  if (heap_mode()) {
+    // Every lock before the cursor started at its reservation, and the
+    // locks reserved at `now` follow it in id order, so the first
+    // unstarted one is the lowest-id miss. On success the cursor moves
+    // past `now`.
+    for (; lock_next_ < lock_order_.size(); ++lock_next_) {
+      const TaskId t = lock_order_[lock_next_];
+      if (lock(t).start > now) break;
+      if (!started_[t]) return t;
+    }
+    return std::nullopt;
+  }
+  for (TaskId t = 0; t < fg_.task_count(); ++t) {
+    if (active(t) && locked(t) && !started_[t] && lock(t).start <= now) {
+      return t;
+    }
+  }
+  return std::nullopt;
+}
+
+Time Engine::next_lock_start() const {
+  if (heap_mode()) {
+    // After missed_lock passed, nothing from the cursor on has started.
+    return lock_next_ < lock_order_.size()
+               ? lock(lock_order_[lock_next_]).start
+               : kInf;
+  }
+  Time next = kInf;
+  for (TaskId t = 0; t < fg_.task_count(); ++t) {
+    if (active(t) && locked(t) && !started_[t]) {
+      next = std::min(next, lock(t).start);
+    }
+  }
+  return next;
 }
 
 EngineResult Engine::infeasible(TaskId t, const std::string& reason) {
@@ -889,6 +967,10 @@ EngineResult Engine::run() {
   remaining_ = 0;
   for (TaskId t = 0; t < n; ++t) {
     if (!active(t)) continue;
+    // Reservations come from table cells, which are non-negative; the
+    // clock starts at 0, so a negative one could never be honored.
+    CPS_REQUIRE(!locked(t) || lock(t).start >= 0,
+                "lock reservations are non-negative");
     ++remaining_;
     for (EdgeId e : fg_.deps().in_edges(t)) {
       if (active(fg_.deps().edge(e).src)) ++pending_[t];
@@ -902,17 +984,11 @@ EngineResult Engine::run() {
     known_pos_.assign(fg_.arch().pe_count(), 0);
     known_neg_.assign(fg_.arch().pe_count(), 0);
     ready_.assign(fg_.arch().pe_count(), ReadyHeap());
-    locks_on_res_.assign(fg_.arch().pe_count(), {});
-    locked_tasks_.clear();
+    init_lock_order();
     bcast_pending_.clear();
     hw_ready_.clear();
     for (TaskId t = 0; t < n; ++t) {
-      if (!active(t)) continue;
-      if (locked(t)) {
-        locked_tasks_.push_back(t);
-        locks_on_res_[lock(t).resource].push_back(t);
-        continue;
-      }
+      if (!active(t) || locked(t)) continue;
       if (fg_.task(t).is_broadcast()) {
         bcast_pending_.push_back(t);
         continue;
@@ -993,21 +1069,15 @@ EngineResult Engine::run() {
 
     // A locked task whose start time has arrived but which could not be
     // started is a hard failure: the reservation cannot be honored. Heap
-    // mode walks its locked-task list (same tasks, same id order) instead
-    // of scanning the whole task vector every step.
-    const bool heap = heap_mode();
-    const std::size_t locked_n = heap ? locked_tasks_.size() : n;
-    for (std::size_t i = 0; i < locked_n; ++i) {
-      const TaskId t = heap ? locked_tasks_[i] : static_cast<TaskId>(i);
-      if (active(t) && locked(t) && !started_[t] && lock(t).start <= now) {
-        EngineResult out = infeasible(
-            t, "locked task " + fg_.task(t).name +
-                   " cannot start at its reserved time " +
-                   std::to_string(lock(t).start));
-        out.resumed = resumed;
-        out.resumed_steps = resumed_steps;
-        return out;  // locked runs never record (see recording_)
-      }
+    // mode reads its lock cursor; the reference scans every task.
+    if (const std::optional<TaskId> t = missed_lock(now)) {
+      EngineResult out = infeasible(
+          *t, "locked task " + fg_.task(*t).name +
+                  " cannot start at its reserved time " +
+                  std::to_string(lock(*t).start));
+      out.resumed = resumed;
+      out.resumed_steps = resumed_steps;
+      return out;  // locked runs never record (see recording_)
     }
 
     if (!resumed_step_pending) {
@@ -1022,15 +1092,9 @@ EngineResult Engine::run() {
     resumed_step_pending = false;
 
     // Advance to the next event: a completion or a future lock start.
-    Time next = kInf;
+    Time next = next_lock_start();
     for (TaskId t : running_) {
       if (!finished_[t]) next = std::min(next, sched_.slot(t).end);
-    }
-    for (std::size_t i = 0; i < locked_n; ++i) {
-      const TaskId t = heap ? locked_tasks_[i] : static_cast<TaskId>(i);
-      if (active(t) && locked(t) && !started_[t]) {
-        next = std::min(next, lock(t).start);
-      }
     }
     if (next == kInf || next <= now) {
       EngineResult out;

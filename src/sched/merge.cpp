@@ -31,6 +31,54 @@ struct MergeInfeasible {
   std::string reason;
 };
 
+/// When the value of one label literal becomes known under a schedule: on
+/// the disjunction's resource at its end, elsewhere at `elsewhere`.
+struct LiteralKnowledge {
+  Literal lit;
+  PeId resource = 0;  ///< the disjunction's resource
+  Time own = 0;       ///< the disjunction's end
+  /// The broadcast's end; kInf when the broadcast is unscheduled (the
+  /// value never reaches another PE); the disjunction's end when the
+  /// condition has no broadcast (single-resource models).
+  Time elsewhere = 0;
+};
+
+/// A schedule as the walk consumes it, with what the walk derives from it
+/// computed once: the (start, id) placement order, and the knowledge
+/// table of its path label — one entry per literal whose disjunction is
+/// scheduled, in condition order.
+struct WalkSchedule {
+  PathSchedule sched;
+  std::vector<TaskId> order;
+  std::vector<LiteralKnowledge> knowledge;
+};
+
+/// Column of a task placed at `slot`: the label literals known on its
+/// resource at its start. A sub-cube of the (packed) label, so it is
+/// assembled directly as masks.
+Cube column_at(const std::vector<LiteralKnowledge>& knowledge,
+               const Slot& slot) {
+  std::uint64_t pos = 0;
+  std::uint64_t neg = 0;
+  std::vector<Literal> wide;
+  for (const LiteralKnowledge& k : knowledge) {
+    const Time known = k.resource == slot.resource ? k.own : k.elsewhere;
+    if (known > slot.start) continue;
+    if (k.lit.cond < Cube::kPackedBits) {
+      (k.lit.value ? pos : neg) |= std::uint64_t{1} << k.lit.cond;
+    } else {
+      wide.push_back(k.lit);
+    }
+  }
+  Cube col = Cube::from_masks(pos, neg);
+  for (const Literal& lit : wide) {
+    auto next = col.conjoin(lit);
+    CPS_ASSERT(next.has_value(), "label literals cannot contradict");
+    col = std::move(*next);
+  }
+  return col;
+}
+
 class Merger {
  public:
   Merger(const FlatGraph& fg, const std::vector<AltPath>& paths,
@@ -50,8 +98,11 @@ class Merger {
   std::vector<std::size_t> reachable_under(const Cube& decided) const;
   std::size_t select(const std::vector<std::size_t>& reachable);
   const std::vector<bool>& active_of(std::size_t path);
-  Cube column_for(const PathSchedule& s, const Cube& label, TaskId t) const;
-  void place(const PathSchedule& s, const Cube& label, TaskId t);
+  /// Knowledge table of schedule `s` under `label` (see WalkSchedule).
+  std::vector<LiteralKnowledge> knowledge_of(const PathSchedule& s,
+                                             const Cube& label) const;
+  WalkSchedule walk_schedule(PathSchedule s, const Cube& label) const;
+  void place(const WalkSchedule& w, TaskId t);
 
   /// Engine request for adjusting path `cur` (everything but the locks),
   /// re-assigned into an existing request so the walk reuses one buffer
@@ -67,13 +118,13 @@ class Merger {
                         std::vector<std::optional<TaskLock>>& locks,
                         std::size_t* count) const;
   /// §5.2 conflict handling against the current table state.
-  PathSchedule resolve_conflicts(EngineRequest& base, std::size_t cur,
+  WalkSchedule resolve_conflicts(EngineRequest& base, std::size_t cur,
                                  PathSchedule adjusted);
 
-  PathSchedule adjust(const Cube& ancestors, const Cube& decided,
+  WalkSchedule adjust(const Cube& ancestors, const Cube& decided,
                       std::size_t cur);
 
-  void dfs(const Cube& decided, std::size_t cur, const PathSchedule& sched,
+  void dfs(const Cube& decided, std::size_t cur, const WalkSchedule& w,
            std::vector<bool> done);
 
   const FlatGraph& fg_;
@@ -156,44 +207,37 @@ std::size_t Merger::select(const std::vector<std::size_t>& reachable) {
   return reachable.front();
 }
 
-Cube Merger::column_for(const PathSchedule& s, const Cube& label,
-                        TaskId t) const {
-  const Slot& slot = s.slot(t);
-  // The column is a sub-cube of the (packed) label, so it is built
-  // directly in packed form: one conjoin per known literal, each a couple
-  // of word operations.
-  Cube col;
+std::vector<LiteralKnowledge> Merger::knowledge_of(
+    const PathSchedule& s, const Cube& label) const {
+  std::vector<LiteralKnowledge> out;
   label.for_each([&](Literal lit) {
     const TaskId disj = fg_.disjunction_task(lit.cond);
     if (!s.scheduled(disj)) return;
-    Time known_time;
-    if (s.slot(disj).resource == slot.resource) {
-      known_time = s.slot(disj).end;
-    } else if (const auto bcast = fg_.broadcast_task(lit.cond)) {
-      // Multi-resource models: a condition value crosses resources only
-      // through its broadcast (the engine's knowledge rule). Without a
-      // scheduled broadcast the value never reaches this PE — treating it
-      // as known here used to fix start times in columns the resource
-      // cannot distinguish yet.
-      if (!s.scheduled(*bcast)) return;
-      known_time = s.slot(*bcast).end;
-    } else {
-      // Single-resource models: a value is visible everywhere as soon as
-      // the disjunction terminates (matching the engine's knowledge rule).
-      known_time = s.slot(disj).end;
+    const Slot& d = s.slot(disj);
+    // Multi-resource models: a condition value crosses resources only
+    // through its broadcast (the engine's knowledge rule); a value never
+    // broadcast stays unknown on other PEs. Single-resource models see it
+    // everywhere as soon as the disjunction terminates.
+    Time elsewhere = d.end;
+    if (const auto bcast = fg_.broadcast_task(lit.cond)) {
+      elsewhere = s.scheduled(*bcast) ? s.slot(*bcast).end : kInf;
     }
-    if (known_time <= slot.start) {
-      auto next = col.conjoin(lit);
-      CPS_ASSERT(next.has_value(), "label literals cannot contradict");
-      col = std::move(*next);
-    }
+    out.push_back(LiteralKnowledge{lit, d.resource, d.end, elsewhere});
   });
-  return col;
+  return out;
 }
 
-void Merger::place(const PathSchedule& s, const Cube& label, TaskId t) {
-  const Slot& slot = s.slot(t);
-  const Cube col = column_for(s, label, t);
+WalkSchedule Merger::walk_schedule(PathSchedule s, const Cube& label) const {
+  WalkSchedule w;
+  w.order = s.tasks_by_start();
+  w.knowledge = knowledge_of(s, label);
+  w.sched = std::move(s);
+  return w;
+}
+
+void Merger::place(const WalkSchedule& w, TaskId t) {
+  const Slot& slot = w.sched.slot(t);
+  const Cube col = column_at(w.knowledge, slot);
   const AddEntryResult res =
       table_.add_entry(t, col, slot.start, slot.resource);
   if (res == AddEntryResult::kClash) ++stats_.column_clashes;
@@ -240,51 +284,54 @@ void Merger::rule3_locks_into(const Cube& ancestors, const Cube& decided,
   if (count != nullptr) *count = found;
 }
 
-PathSchedule Merger::resolve_conflicts(EngineRequest& base, std::size_t cur,
+WalkSchedule Merger::resolve_conflicts(EngineRequest& base, std::size_t cur,
                                        PathSchedule adjusted) {
-  const AltPath& path = paths_[cur];
+  const Cube& label = paths_[cur].label;
+  WalkSchedule w = walk_schedule(std::move(adjusted), label);
   // §5.2 conflict handling. Each iteration pins one more task, so the
   // loop terminates after at most task_count iterations.
   while (true) {
     std::optional<TaskId> conflict_task;
-    std::vector<TableEntry> w;
-    for (TaskId t : adjusted.tasks_by_start()) {
+    for (TaskId t : w.order) {
       if (base.locks[t]) continue;
-      const Cube col = column_for(adjusted, path.label, t);
-      auto confl = table_.conflicting_entries(
-          t, col, adjusted.slot(t).start, adjusted.slot(t).resource);
-      if (!confl.empty()) {
+      const Slot& slot = w.sched.slot(t);
+      const Cube col = column_at(w.knowledge, slot);
+      if (table_.has_conflict(t, col, slot.start, slot.resource)) {
         conflict_task = t;
-        w = std::move(confl);
         break;
       }
     }
     if (!conflict_task) break;
+    const TaskId t = *conflict_task;
+    const Slot slot = w.sched.slot(t);  // copy: a move replaces w.sched
+    const Cube col = column_at(w.knowledge, slot);
+    const std::vector<TableEntry> candidates =
+        table_.conflicting_entries(t, col, slot.start, slot.resource);
     ++stats_.conflicts;
     if (opts_.trace) {
-      std::cerr << "[merge]   CONFLICT on " << fg_.task(*conflict_task).name
-                << " at " << adjusted.slot(*conflict_task).start
-                << " col "
-                << column_for(adjusted, paths_[cur].label, *conflict_task)
-                       .to_string()
-                << " with " << w.size() << " entries\n";
+      std::cerr << "[merge]   CONFLICT on " << fg_.task(t).name << " at "
+                << slot.start << " col " << col.to_string() << " with "
+                << candidates.size() << " entries\n";
     }
 
+    // Trial runs pin the task to each candidate in turn; base.locks[t] is
+    // unset here (the scan skips locked tasks) and is overwritten below
+    // whether a candidate is taken or not.
     bool resolved = false;
-    for (const TableEntry& cand : w) {
-      auto trial = base;
-      trial.locks[*conflict_task] = TaskLock{cand.start, cand.resource};
-      EngineResult tr = run_list_scheduler(fg_, trial, walk_ws_);
+    for (const TableEntry& cand : candidates) {
+      base.locks[t] = TaskLock{cand.start, cand.resource};
+      EngineResult tr = run_list_scheduler(fg_, base, walk_ws_);
       if (!tr.feasible) continue;
-      const Cube col = column_for(tr.schedule, path.label, *conflict_task);
-      if (!table_
-               .conflicting_entries(*conflict_task, col, cand.start,
-                                    cand.resource)
-               .empty()) {
+      std::vector<LiteralKnowledge> knowledge =
+          knowledge_of(tr.schedule, label);
+      const Slot& moved = tr.schedule.slot(t);
+      const Cube moved_col = column_at(knowledge, moved);
+      if (table_.has_conflict(t, moved_col, moved.start, moved.resource)) {
         continue;
       }
-      base.locks = std::move(trial.locks);
-      adjusted = std::move(tr.schedule);
+      w.order = tr.schedule.tasks_by_start();
+      w.sched = std::move(tr.schedule);
+      w.knowledge = std::move(knowledge);
       ++stats_.conflict_moves;
       resolved = true;
       break;
@@ -298,15 +345,13 @@ PathSchedule Merger::resolve_conflicts(EngineRequest& base, std::size_t cur,
       // worked, freeze the task where it is so the walk terminates and let
       // the validator surface the residual nondeterminism.
       ++stats_.unresolved_conflicts;
-      base.locks[*conflict_task] =
-          TaskLock{adjusted.slot(*conflict_task).start,
-                   adjusted.slot(*conflict_task).resource};
+      base.locks[t] = TaskLock{slot.start, slot.resource};
     }
   }
-  return adjusted;
+  return w;
 }
 
-PathSchedule Merger::adjust(const Cube& ancestors, const Cube& decided,
+WalkSchedule Merger::adjust(const Cube& ancestors, const Cube& decided,
                             std::size_t cur) {
   CPS_FAULT_POINT("merge.adjust");
   ++stats_.adjustments;
@@ -355,8 +400,8 @@ PathSchedule Merger::adjust(const Cube& ancestors, const Cube& decided,
   return resolve_conflicts(base, cur, std::move(result.schedule));
 }
 
-void Merger::dfs(const Cube& decided, std::size_t cur,
-                 const PathSchedule& sched, std::vector<bool> done) {
+void Merger::dfs(const Cube& decided, std::size_t cur, const WalkSchedule& w,
+                 std::vector<bool> done) {
   // One budget poll per decision-tree node: cheap (token-only most
   // polls), and bounded — a node does at most one adjustment engine run,
   // which polls internally. A trip here unwinds through the walk.
@@ -371,31 +416,28 @@ void Merger::dfs(const Cube& decided, std::size_t cur,
   const Cube& label = paths_[cur].label;
 
   // Next undecided condition to be computed according to the current
-  // schedule (the next node of the decision tree on this branch).
-  // for_each visits literals in increasing condition order, matching the
-  // historical iteration (earliest end wins; smallest condition id on
-  // ties).
+  // schedule (the next node of the decision tree on this branch): the
+  // earliest disjunction end; the knowledge table is in condition order,
+  // so the smallest condition id wins ties.
   Time tau = kInf;
   CondId next_cond = 0;
   bool branching = false;
-  label.for_each([&](Literal lit) {
-    if (decided.mentions(lit.cond)) return;
-    const TaskId disj = fg_.disjunction_task(lit.cond);
-    if (!sched.scheduled(disj)) return;
-    const Time end = sched.slot(disj).end;
-    if (!branching || end < tau || (end == tau && lit.cond < next_cond)) {
-      tau = end;
-      next_cond = lit.cond;
+  for (const LiteralKnowledge& k : w.knowledge) {
+    if (decided.mentions(k.lit.cond)) continue;
+    if (!branching || k.own < tau) {
+      tau = k.own;
+      next_cond = k.lit.cond;
       branching = true;
     }
-  });
+  }
 
-  // Fix start times from the current schedule into the table, up to the
-  // branching moment (everything, on a leaf).
-  for (TaskId t : sched.tasks_by_start()) {
+  // Fix start times from the current schedule into the table, in
+  // chronological order up to the branching moment (everything, on a
+  // leaf).
+  for (TaskId t : w.order) {
+    if (branching && w.sched.slot(t).start >= tau) break;
     if (done[t]) continue;
-    if (branching && sched.slot(t).start >= tau) continue;
-    place(sched, label, t);
+    place(w, t);
     done[t] = true;
   }
   if (!branching) return;  // leaf of the decision tree
@@ -406,7 +448,7 @@ void Merger::dfs(const Cube& decided, std::size_t cur,
   CPS_ASSERT(same && flip, "branching condition was undecided");
 
   // Follow the current schedule (no back-step).
-  dfs(*same, cur, sched, done);
+  dfs(*same, cur, w, done);
 
   // Back-step: explore the opposite condition value. The adjustment reads
   // the table the sibling subtree just filled (rule 3), so it runs here,
@@ -415,7 +457,7 @@ void Merger::dfs(const Cube& decided, std::size_t cur,
   if (!reachable.empty()) {
     ++stats_.backsteps;
     const std::size_t flip_cur = select(reachable);
-    const PathSchedule adjusted = adjust(decided, *flip, flip_cur);
+    const WalkSchedule adjusted = adjust(decided, *flip, flip_cur);
     dfs(*flip, flip_cur, adjusted, done);
   }
 }
@@ -438,7 +480,7 @@ MergeResult Merger::run() {
   ErrorCode code = ErrorCode::kOk;
   std::string error;
   try {
-    dfs(Cube::top(), cur, scheds_[cur],
+    dfs(Cube::top(), cur, walk_schedule(scheds_[cur], paths_[cur].label),
         std::vector<bool>(fg_.task_count(), false));
   } catch (const MergeInfeasible& e) {
     ok = false;

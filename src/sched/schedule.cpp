@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace cps {
 
@@ -19,16 +20,16 @@ Time PathSchedule::delay(const FlatGraph& fg) const {
 }
 
 std::vector<TaskId> PathSchedule::tasks_by_start() const {
-  std::vector<TaskId> out;
+  // Sorting the (start, id) keys by value keeps the comparisons off the
+  // slot array.
+  std::vector<std::pair<Time, TaskId>> keys;
   for (TaskId t = 0; t < slots_.size(); ++t) {
-    if (slots_[t].scheduled()) out.push_back(t);
+    if (slots_[t].scheduled()) keys.emplace_back(slots_[t].start, t);
   }
-  std::sort(out.begin(), out.end(), [this](TaskId a, TaskId b) {
-    if (slots_[a].start != slots_[b].start) {
-      return slots_[a].start < slots_[b].start;
-    }
-    return a < b;
-  });
+  std::sort(keys.begin(), keys.end());
+  std::vector<TaskId> out;
+  out.reserve(keys.size());
+  for (const auto& key : keys) out.push_back(key.second);
   return out;
 }
 

@@ -6,6 +6,28 @@
 
 namespace cps {
 
+namespace {
+
+/// Visit the cells of `row` that conflict with (column, start, resource),
+/// in insertion order, until `fn` returns true; returns whether it did.
+/// `narrow`: every column involved is packed, so the mask test is exact.
+template <typename Fn>
+bool find_conflict(const std::vector<TableEntry>& row, bool narrow,
+                   const Cube& column, Time start, PeId resource, Fn&& fn) {
+  const std::uint64_t pos = column.pos_bits();
+  const std::uint64_t neg = column.neg_bits();
+  for (const TableEntry& e : row) {
+    const std::uint64_t opposite =
+        (e.column.pos_bits() & neg) | (e.column.neg_bits() & pos);
+    if (narrow ? opposite != 0 : !e.column.compatible(column)) continue;
+    if (e.start == start && e.resource == resource) continue;
+    if (fn(e)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 ScheduleTable::ScheduleTable(const FlatGraph& fg)
     : fg_(&fg), rows_(fg.task_count()) {}
 
@@ -19,20 +41,24 @@ AddEntryResult ScheduleTable::add_entry(TaskId t, const Cube& column,
   CPS_REQUIRE(t < rows_.size(), "task id out of range");
   CPS_REQUIRE(start >= 0, "activation times are non-negative");
   Row& row = rows_[t];
-  const auto it = row.by_column.find(column);
-  if (it != row.by_column.end()) {
-    const TableEntry& e = row.entries[it->second];
-    if (e.start == start && e.resource == resource) {
-      return AddEntryResult::kDuplicate;
-    }
-    return AddEntryResult::kClash;
+  for (const TableEntry& e : row.entries) {
+    if (e.column != column) continue;
+    return e.start == start && e.resource == resource
+               ? AddEntryResult::kDuplicate
+               : AddEntryResult::kClash;
   }
-  row.by_column.emplace(column,
-                        static_cast<std::uint32_t>(row.entries.size()));
   row.entries.push_back(TableEntry{column, start, resource});
-  row.mention_union |= column.mention_bits();
   row.all_narrow = row.all_narrow && column.narrow();
   return AddEntryResult::kAdded;
+}
+
+bool ScheduleTable::has_conflict(TaskId t, const Cube& column, Time start,
+                                 PeId resource) const {
+  CPS_REQUIRE(t < rows_.size(), "task id out of range");
+  const Row& row = rows_[t];
+  const auto stop = [](const TableEntry&) { return true; };
+  return find_conflict(row.entries, row.all_narrow && column.narrow(), column,
+                       start, resource, stop);
 }
 
 std::vector<TableEntry> ScheduleTable::conflicting_entries(
@@ -40,27 +66,12 @@ std::vector<TableEntry> ScheduleTable::conflicting_entries(
   CPS_REQUIRE(t < rows_.size(), "task id out of range");
   const Row& row = rows_[t];
   std::vector<TableEntry> out;
-  if (row.all_narrow && column.narrow()) {
-    // A column sharing no mentioned condition with `column` is trivially
-    // compatible; the union mask cannot rule the row out, but it skips the
-    // per-entry incompatibility masks when no overlap exists at all.
-    const std::uint64_t pos = column.pos_bits();
-    const std::uint64_t neg = column.neg_bits();
-    for (const TableEntry& e : row.entries) {
-      if ((e.column.pos_bits() & neg) != 0 ||
-          (e.column.neg_bits() & pos) != 0) {
-        continue;  // incompatible: opposite literal
-      }
-      if (e.start == start && e.resource == resource) continue;
-      out.push_back(e);
-    }
-  } else {
-    for (const TableEntry& e : row.entries) {
-      if (!e.column.compatible(column)) continue;
-      if (e.start == start && e.resource == resource) continue;
-      out.push_back(e);
-    }
-  }
+  const auto collect = [&out](const TableEntry& e) {
+    out.push_back(e);
+    return false;
+  };
+  find_conflict(row.entries, row.all_narrow && column.narrow(), column, start,
+                resource, collect);
   std::sort(out.begin(), out.end(),
             [](const TableEntry& a, const TableEntry& b) {
               if (a.start != b.start) return a.start < b.start;
@@ -113,8 +124,7 @@ std::size_t ScheduleTable::entry_count() const {
 }
 
 bool operator==(const ScheduleTable& a, const ScheduleTable& b) {
-  // Cell-wise: rows, order and every entry field. The index structures are
-  // derived data and deliberately excluded.
+  // Cell-wise: rows, order and every entry field (all_narrow is derived).
   if (a.rows_.size() != b.rows_.size()) return false;
   for (std::size_t t = 0; t < a.rows_.size(); ++t) {
     if (a.rows_[t].entries != b.rows_[t].entries) return false;

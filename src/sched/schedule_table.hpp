@@ -5,18 +5,17 @@
 // heading its column is true. The coherence requirements 1-4 of paper §3
 // are checked by sched/table_validate.hpp.
 //
-// Lookup structure: each row keeps its entries in insertion order (the
-// deterministic order the merge produces and every equivalence guarantee
-// compares) plus a hash index keyed on the packed column cube, so
-// add_entry's exact-column lookup is O(1), and a union of the columns'
-// mention masks, so matching/activation/conflict scans prefilter whole
-// rows with a word test before touching individual entries. Tests
-// re-derive every query by scanning row() and compare.
+// Lookup structure: each row is a plain vector of its cells in insertion
+// order (the deterministic order the merge produces and every equivalence
+// guarantee compares), and every query scans it. A row holds at most one
+// cell per merged schedule — 2-5 on the paper's graphs, about 15 at 64-128
+// paths — so a scan of packed column masks costs less than maintaining a
+// per-row index. Tests re-derive every query with the cube API and
+// compare.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cpg/flat_graph.hpp"
@@ -62,16 +61,20 @@ class ScheduleTable {
                            PeId resource);
 
   /// Entries of `t` whose column is compatible with `column` but whose
-  /// start time or resource differs (the §5.2 conflict set W).
+  /// start time or resource differs (the §5.2 conflict set W), sorted by
+  /// (start, resource).
   std::vector<TableEntry> conflicting_entries(TaskId t, const Cube& column,
                                               Time start,
                                               PeId resource) const;
 
+  /// `!conflicting_entries(t, column, start, resource).empty()`, without
+  /// allocating: the merge's per-placement conflict test.
+  bool has_conflict(TaskId t, const Cube& column, Time start,
+                    PeId resource) const;
+
   /// Visit, in insertion order and without allocating, every entry of `t`
   /// whose column is implied by the label — the query matching() and
-  /// activation() are built on. A row none of whose columns mentions a
-  /// condition the label decides is answered by its unconditional cell
-  /// alone.
+  /// activation() are built on.
   template <typename Fn>
   void for_each_matching(TaskId t, const Cube& label, Fn&& fn) const;
 
@@ -106,12 +109,8 @@ class ScheduleTable {
   struct Row {
     /// Cells in insertion order — the externally visible row.
     std::vector<TableEntry> entries;
-    /// Exact-match index: column cube -> position in `entries`.
-    std::unordered_map<Cube, std::uint32_t> by_column;
-    /// Union of the packed mention masks of every column in the row.
-    std::uint64_t mention_union = 0;
     /// All columns narrow (packed-only)? Cleared by a >64-condition
-    /// universe; the mask prefilters are skipped then.
+    /// universe; the mask tests are skipped then.
     bool all_narrow = true;
   };
 
@@ -127,11 +126,6 @@ void ScheduleTable::for_each_matching(TaskId t, const Cube& label,
   if (row.all_narrow && label.narrow()) {
     const std::uint64_t pos = label.pos_bits();
     const std::uint64_t neg = label.neg_bits();
-    if ((row.mention_union & (pos | neg)) == 0) {
-      const auto it = row.by_column.find(Cube::top());
-      if (it != row.by_column.end()) fn(row.entries[it->second]);
-      return;
-    }
     for (const TableEntry& e : row.entries) {
       if ((e.column.pos_bits() & ~pos) == 0 &&
           (e.column.neg_bits() & ~neg) == 0) {

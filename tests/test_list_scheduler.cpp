@@ -203,6 +203,31 @@ TEST(ListScheduler, InfeasibleLockIsReported) {
   EXPECT_EQ(*res.offending_lock, t2);
 }
 
+TEST(ListScheduler, NegativeReservationIsRejected) {
+  // Reservations come from table cells (non-negative); the clock starts
+  // at 0, so both engines reject one that could never be honored.
+  Architecture arch;
+  arch.add_processor("p");
+  CpgBuilder b(arch);
+  const ProcessId p1 = b.add_process("P1", 0, 2);
+  const Cpg g = b.build();
+  const FlatGraph fg = FlatGraph::expand(g);
+  const auto paths = enumerate_paths(g);
+
+  EngineRequest req;
+  req.label = paths[0].label;
+  req.active = fg.active_tasks(paths[0].label);
+  req.priority = compute_priorities(fg, req.active,
+                                    PriorityPolicy::kCriticalPath);
+  req.locks.assign(fg.task_count(), std::nullopt);
+  req.locks[fg.task_of_process(p1)] = TaskLock{-1, 0};
+  for (const ReadySelection sel :
+       {ReadySelection::kHeap, ReadySelection::kLinearScan}) {
+    req.selection = sel;
+    EXPECT_THROW(run_list_scheduler(fg, req), InvalidArgument);
+  }
+}
+
 TEST(ListScheduler, UnlockedTasksFlowAroundReservations) {
   // One processor; a lock reserves [0, 4) for B; A (ready at 0, duration
   // 3) must wait until 4 — it cannot overlap the reservation.

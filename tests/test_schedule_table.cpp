@@ -100,12 +100,12 @@ TEST_F(ScheduleTableTest, ColumnsSortedBySizeThenValue) {
   EXPECT_EQ(t.entry_count(), 2u);
 }
 
-// ---- indexed vs. scan equivalence ------------------------------------
+// ---- mask scans vs. cube-API references ------------------------------
 //
-// The table answers add_entry/matching/conflicting_entries through a
-// per-row hash index and packed-mask prefilters; these tests re-derive
-// every answer with the plain linear scans the pre-index implementation
-// used and require identical results (values *and* order).
+// The table answers add_entry/matching/conflicting_entries/has_conflict
+// by scanning each row's packed column masks; these tests re-derive every
+// answer with plain scans over row() through the Cube API and require
+// identical results (values *and* order).
 
 using testing::random_cube;
 
@@ -148,9 +148,9 @@ AddEntryResult add_entry_scan_verdict(const ScheduleTable& t, TaskId task,
   return AddEntryResult::kAdded;
 }
 
-TEST_F(ScheduleTableTest, IndexedQueriesMatchLinearScans) {
-  // `shift` 0 exercises the packed prefilter path; Cube::kPackedBits
-  // forces wide columns through the exact fallback.
+TEST_F(ScheduleTableTest, MaskScansMatchCubeReferences) {
+  // `shift` 0 exercises the packed mask path; Cube::kPackedBits forces
+  // wide columns through the exact fallback.
   for (const CondId shift : {CondId{0}, Cube::kPackedBits}) {
     SCOPED_TRACE("shift=" + std::to_string(shift));
     Rng rng(2024 + shift);
@@ -166,13 +166,52 @@ TEST_F(ScheduleTableTest, IndexedQueriesMatchLinearScans) {
 
       const Cube probe = random_cube(rng, 5, shift);
       EXPECT_EQ(t.matching(task, probe), matching_scan(t, task, probe));
-      EXPECT_EQ(t.conflicting_entries(task, probe, start, res),
-                conflicting_scan(t, task, probe, start, res));
+      const auto conflicts = t.conflicting_entries(task, probe, start, res);
+      EXPECT_EQ(conflicts, conflicting_scan(t, task, probe, start, res));
+      EXPECT_EQ(t.has_conflict(task, probe, start, res), !conflicts.empty());
     }
-    // Rows answered through the prefilter even when the probe decides
-    // nothing the row mentions.
+    // A probe that decides nothing the row mentions matches only the
+    // unconditional cell.
     EXPECT_EQ(t.matching(task, Cube::top()),
               matching_scan(t, task, Cube::top()));
+  }
+}
+
+TEST_F(ScheduleTableTest, WideRowKeepsVerdictsAndInsertionOrder) {
+  // 243 distinct columns over five conditions (every absent/true/false
+  // combination) in one row — far beyond the one cell per merged
+  // schedule the merge writes — added in a shuffled order.
+  ScheduleTable t(FG);
+  const TaskId task = FG.task_of_process(p1_);
+  std::vector<Cube> cols;
+  for (int code = 0; code < 243; ++code) {
+    Cube c;
+    for (CondId i = 0, rest = static_cast<CondId>(code); i < 5;
+         ++i, rest /= 3) {
+      if (rest % 3 != 0) c = *c.conjoin(Literal{i, rest % 3 == 1});
+    }
+    cols.push_back(c);
+  }
+  Rng rng(7);
+  for (std::size_t i = cols.size(); i > 1; --i) {
+    std::swap(cols[i - 1], cols[rng.index(i)]);
+  }
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    EXPECT_EQ(t.add_entry(task, cols[i], static_cast<Time>(i), 0),
+              AddEntryResult::kAdded);
+  }
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    const Time start = static_cast<Time>(i);
+    EXPECT_EQ(t.add_entry(task, cols[i], start, 0),
+              AddEntryResult::kDuplicate);
+    EXPECT_EQ(t.add_entry(task, cols[i], start + 1, 0),
+              AddEntryResult::kClash);
+    EXPECT_EQ(t.add_entry(task, cols[i], start, 1), AddEntryResult::kClash);
+  }
+  const auto& row = t.row(task);
+  ASSERT_EQ(row.size(), cols.size());
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    EXPECT_EQ(row[i], (TableEntry{cols[i], static_cast<Time>(i), 0}));
   }
 }
 
