@@ -11,10 +11,10 @@
 // `--compare-tree` switches to the guard-trie equivalence/speedup mode:
 // each seeded CPG is co-synthesized with the retained path-list reference
 // (PathScheduling::kList) and with the guard-trie walk
-// (PathScheduling::kTree) at every --tree-threads count; any
-// schedule-table mismatch exits non-zero (the CI gate), and the report
-// quotes the schedule-stage speedup plus the prefix-reuse counters. Deep
-// condition nests (high --paths) are the regime where the trie wins.
+// (PathScheduling::kTree); any schedule-table mismatch exits non-zero
+// (the CI gate), and the report quotes the schedule-stage speedup plus
+// the prefix-reuse counters. Deep condition nests (high --paths) are the
+// regime where the trie wins.
 #include <iostream>
 
 #include "cpg/builder.hpp"
@@ -109,8 +109,6 @@ int run_compare_tree(const CliParser& cli) {
   const std::size_t paths = cli.get_count("paths", 1);
   const auto seed = static_cast<std::uint64_t>(cli.get_count("seed", 0));
   const std::vector<std::size_t> sizes = cli.get_count_list("sizes");
-  const std::vector<std::size_t> thread_counts =
-      cli.get_count_list("tree-threads");
 
   bool all_identical = true;
   std::size_t nest_resumes = 0;
@@ -143,24 +141,18 @@ int run_compare_tree(const CliParser& cli) {
         const CoSynthesisResult reference = schedule_cpg(g, list);
         list_ms += reference.timings.schedule_ms;
 
-        for (std::size_t threads : thread_counts) {
-          CoSynthesisOptions tree;
-          tree.path_scheduling = PathScheduling::kTree;
-          tree.schedule_threads = threads;
-          const CoSynthesisResult result = schedule_cpg(g, tree);
-          if (threads == thread_counts.front()) {
-            tree_ms += result.timings.schedule_ms;
-            resumes += result.tree.prefix_resumes;
-            steps += result.tree.resumed_steps;
-          }
-          if (!tables_equal(result, reference)) {
-            identical = false;
-            std::cerr << "ERROR: tree scheduling diverged from the "
-                         "path-list reference ("
-                      << (nest ? "nest" : "random") << " nodes=" << nodes
-                      << " paths=" << paths << " seed=" << next_seed
-                      << " threads=" << threads << ")\n";
-          }
+        CoSynthesisOptions tree;
+        tree.path_scheduling = PathScheduling::kTree;
+        const CoSynthesisResult result = schedule_cpg(g, tree);
+        tree_ms += result.timings.schedule_ms;
+        resumes += result.tree.prefix_resumes;
+        steps += result.tree.resumed_steps;
+        if (!tables_equal(result, reference)) {
+          identical = false;
+          std::cerr << "ERROR: tree scheduling diverged from the "
+                       "path-list reference ("
+                    << (nest ? "nest" : "random") << " nodes=" << nodes
+                    << " paths=" << paths << " seed=" << next_seed << ")\n";
         }
       }
       all_identical = all_identical && identical;
@@ -198,15 +190,12 @@ int run_compare_tree(const CliParser& cli) {
   std::cout << '\n';
   nest_table.render(std::cout);
   std::cout << "\ndeep-nest per-path scheduling: list "
-            << format_double(nest_list_ms, 1) << " ms, tree ("
-            << std::to_string(thread_counts.front()) << " thread"
-            << (thread_counts.front() == 1 ? "" : "s") << ") "
+            << format_double(nest_list_ms, 1) << " ms, tree "
             << format_double(nest_tree_ms, 1) << " ms, speedup "
             << format_double(nest_list_ms / std::max(nest_tree_ms, 1e-9), 2)
             << "x, " << nest_resumes << " prefix resumes\n";
   std::cout << (all_identical
-                    ? "tables: byte-identical across scheduling modes and "
-                      "thread counts\n"
+                    ? "tables: byte-identical across scheduling modes\n"
                     : "tables: DIVERGED — see errors above\n");
   return all_identical ? 0 : 1;
 }
@@ -225,10 +214,8 @@ int main(int argc, char** argv) try {
                           "report the heap speedup");
   cli.add_bool("compare-tree",
                "guard-trie mode: verify tree-vs-list schedule-table "
-               "identity at every --tree-threads count and report the "
-               "schedule-stage speedup (exits non-zero on any mismatch)");
-  cli.add_flag("tree-threads", "1,2,4,8",
-               "comma-separated tree-mode thread counts for --compare-tree");
+               "identity and report the schedule-stage speedup (exits "
+               "non-zero on any mismatch)");
   if (!cli.parse(argc, argv)) return 0;
   if (cli.get_bool("compare-tree")) return run_compare_tree(cli);
   const std::size_t graphs = cli.get_count("graphs", 1);

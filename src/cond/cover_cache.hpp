@@ -17,8 +17,7 @@
 // vector and are stable for the graph's lifetime. The cache must not
 // outlive the FlatGraph it memoizes and is not thread-safe; use one cache
 // per engine/merge invocation (the batch driver gives each worker its own
-// graphs, and each trie subtree job owns its cache, so a cache is never
-// shared across threads).
+// graphs, so a cache is never shared across threads).
 #pragma once
 
 #include <cstddef>
@@ -34,16 +33,6 @@ struct CoverCacheStats {
   std::size_t misses = 0;
   std::size_t entries = 0;  ///< live memo entries at snapshot time
   std::size_t resets = 0;   ///< size-cap evictions of the whole map
-
-  /// Aggregate counters of several caches (parallel subtree jobs);
-  /// `entries` becomes the sum of the per-cache snapshots.
-  CoverCacheStats& operator+=(const CoverCacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    entries += o.entries;
-    resets += o.resets;
-    return *this;
-  }
 };
 
 class CoverCache {

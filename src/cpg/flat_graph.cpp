@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "cpg/canonical.hpp"
 #include "support/error.hpp"
 
 namespace cps {
@@ -124,12 +123,6 @@ FlatGraph FlatGraph::expand(const Cpg& g) {
   }
 
   fg.compute_guard_info();
-
-  // Content identity, computed eagerly: expansion already walks the whole
-  // model, and every consumer that outlives a single run (EngineHistory,
-  // the schedule cache) needs it.
-  fg.digest_ = digest_of(canonical_encoding(g));
-
   return fg;
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cond/cover_cache.hpp"
-#include "cpg/canonical.hpp"
 #include "cpg/cpg.hpp"
 #include "cpg/paths.hpp"
 #include "graph/digraph.hpp"
@@ -154,18 +153,13 @@ class FlatGraph {
   /// disabled.
   const std::vector<PeId>& broadcast_buses() const { return bcast_buses_; }
 
-  /// Process-unique graph id (assigned at expand time, carried by moves).
-  /// Lets long-lived caches keyed on this graph's *addresses* (notably
-  /// EngineWorkspace's private cover cache, whose keys are Dnf pointers
-  /// into this graph's tasks) detect that a different graph arrived even
-  /// when heap addresses were reused. Strictly process-local.
+  /// Process-unique graph id (assigned at expand time, carried by moves;
+  /// two expansions of one Cpg get different ids). Lets state that
+  /// outlives a single engine run — EngineWorkspace's private cover
+  /// cache, whose keys are Dnf pointers into this graph's tasks, and
+  /// EngineHistory — detect that a different graph arrived even when
+  /// heap addresses were reused. Strictly process-local.
   std::uint64_t uid() const { return uid_; }
-
-  /// Content digest of the canonical Cpg encoding (cpg/canonical.hpp),
-  /// computed at expand time. Two structurally identical models expanded
-  /// in different processes (or different runs) share this digest — the
-  /// identity EngineHistory and the schedule cache key on.
-  const Digest128& canonical_digest() const { return digest_; }
 
  private:
   void compute_guard_info();
@@ -180,7 +174,6 @@ class FlatGraph {
   std::vector<TaskGuardInfo> guard_info_;  // by TaskId
   bool masks_enabled_ = false;
   std::uint64_t uid_ = 0;
-  Digest128 digest_;
 };
 
 }  // namespace cps

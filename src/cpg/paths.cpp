@@ -1,7 +1,5 @@
 #include "cpg/paths.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 
 namespace cps {
@@ -25,10 +23,6 @@ std::vector<bool> active_under_context(const Cpg& g, const Cube& context) {
 
 PathEnumerator::PathEnumerator(const Cpg& g) : g_(&g) {
   stack_.push_back(Cube::top());
-}
-
-PathEnumerator::PathEnumerator(const Cpg& g, Cube context) : g_(&g) {
-  stack_.push_back(std::move(context));
 }
 
 std::optional<AltPath> PathEnumerator::next() {
@@ -58,51 +52,6 @@ std::optional<AltPath> PathEnumerator::next() {
     return AltPath{context, std::move(active)};
   }
   return std::nullopt;
-}
-
-std::optional<CondId> PathTree::branch_condition(const Cube& context) const {
-  const std::vector<bool> active = active_under_context(*g_, context);
-  for (CondId c = 0; c < g_->conditions().size(); ++c) {
-    if (context.mentions(c)) continue;
-    if (active[g_->disjunction_of(c)]) return c;
-  }
-  return std::nullopt;
-}
-
-std::vector<PathTree::Node> PathTree::frontier(std::size_t min_nodes) const {
-  std::vector<Node> nodes{Node{Cube::top(), false}};
-  bool expandable = true;
-  while (expandable && nodes.size() < std::max<std::size_t>(min_nodes, 1)) {
-    expandable = false;
-    // Expand one whole level, replacing each non-leaf in place by its
-    // (true, false) children so the vector stays in depth-first order.
-    std::vector<Node> next;
-    next.reserve(nodes.size() * 2);
-    for (Node& node : nodes) {
-      if (node.leaf) {
-        next.push_back(std::move(node));
-        continue;
-      }
-      const auto c = branch_condition(node.context);
-      if (!c) {
-        node.leaf = true;
-        next.push_back(std::move(node));
-        continue;
-      }
-      auto pos = node.context.conjoin(Literal{*c, true});
-      auto neg = node.context.conjoin(Literal{*c, false});
-      CPS_ASSERT(pos && neg, "undecided condition must be conjoinable");
-      next.push_back(Node{std::move(*pos), false});
-      next.push_back(Node{std::move(*neg), false});
-      expandable = true;
-    }
-    nodes = std::move(next);
-  }
-  // Settle the leaf flags of nodes the size cutoff left unclassified.
-  for (Node& node : nodes) {
-    if (!node.leaf) node.leaf = !branch_condition(node.context).has_value();
-  }
-  return nodes;
 }
 
 PathLabelMasks collect_label_masks(const std::vector<AltPath>& paths) {

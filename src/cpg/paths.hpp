@@ -46,12 +46,6 @@ class PathEnumerator {
  public:
   explicit PathEnumerator(const Cpg& g);
 
-  /// Walk only the subtree below `context` (guard literals already decided
-  /// on the trie path from the root). Emits exactly the leaves whose label
-  /// extends the context, in the same relative order as the full walk —
-  /// the primitive behind PathTree's independent-subtree dispatch.
-  PathEnumerator(const Cpg& g, Cube context);
-
   /// Next alternative path, or nullopt when the walk is exhausted. Each
   /// call does O(processes * conditions) work for the leaf it produces.
   std::optional<AltPath> next();
@@ -91,53 +85,6 @@ struct PathLabelMasks {
 
 /// Collect the packed label masks of a path set.
 PathLabelMasks collect_label_masks(const std::vector<AltPath>& paths);
-
-/// Streaming view of the *guard trie*: the condition decision tree whose
-/// edges are guard literals (smallest-undecided-condition first, true
-/// edge before false edge) and whose leaves are the AltPaths. Alternative
-/// paths are identical up to the first condition where their guard
-/// assignments diverge, so the trie represents every shared prefix once —
-/// the structure behind the driver's checkpointed prefix-reuse scheduling
-/// (PathScheduling::kTree) and its parallel subtree dispatch. Nothing is
-/// materialized: a node is just its context cube, and subtree leaves
-/// stream through PathEnumerator. The Cpg must outlive the tree.
-class PathTree {
- public:
-  explicit PathTree(const Cpg& g) : g_(&g) {}
-
-  /// One frontier node of a partially expanded trie: the guard literals
-  /// on the root→node path as a context cube. `leaf` is true when no
-  /// active disjunction's condition is undecided under the context — the
-  /// node already is a complete alternative path.
-  struct Node {
-    Cube context;
-    bool leaf = false;
-  };
-
-  /// Condition the trie branches on at `context` (the smallest undecided
-  /// condition whose disjunction process is active), or nullopt when the
-  /// context is a leaf. Matches PathEnumerator's expansion choice exactly.
-  std::optional<CondId> branch_condition(const Cube& context) const;
-
-  /// Expand the trie breadth-first — level order, true child before false
-  /// child — until at least `min_nodes` frontier nodes exist or every
-  /// node is a leaf. The returned nodes are in depth-first order, their
-  /// contexts are pairwise incompatible, and concatenating `leaves(node)`
-  /// over them reproduces enumerate_paths() leaf-for-leaf: the frontier
-  /// partitions the trie into independently walkable subtrees.
-  std::vector<Node> frontier(std::size_t min_nodes) const;
-
-  /// Streaming enumerator of the leaves below `context`.
-  PathEnumerator leaves(const Cube& context) const {
-    return PathEnumerator(*g_, context);
-  }
-  PathEnumerator leaves() const { return PathEnumerator(*g_); }
-
-  const Cpg& cpg() const { return *g_; }
-
- private:
-  const Cpg* g_;
-};
 
 /// Enumerate every alternative path of the graph by draining a
 /// PathEnumerator into a vector (see the class for the order guarantee).

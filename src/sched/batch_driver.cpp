@@ -21,15 +21,6 @@ double ms_between(clock_type::time_point a, clock_type::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Fixed trie-decomposition target for batch items (unless the caller
-/// pinned synthesis.subtree_frontier themselves). Pool-size-independent
-/// on purpose: the SAME subtree jobs run at every thread count — on pool
-/// workers when the batch has a runtime, inline otherwise — which is what
-/// keeps batch JSON byte-identical while still exposing inner work for
-/// stealing. Small, because per-item parallelism only has to fill the
-/// gaps work-stealing finds between whole items.
-constexpr std::size_t kBatchSubtreeFrontier = 4;
-
 void add_item_stats(BatchSummary& s, const BatchItem& item) {
   ++s.count;
   s.retries += item.retries;
@@ -115,15 +106,13 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
   w.field("speculative_hits", stats.speculative_hits);
   w.field("speculative_misses", stats.speculative_misses);
   w.end_object();
-  if (options.include_resume_counters) {
+  if (options.include_reuse_counters) {
     w.key("cover_cache").begin_object();
     w.field("hits", item.cover_cache.hits);
     w.field("misses", item.cover_cache.misses);
     w.field("entries", item.cover_cache.entries);
     w.field("resets", item.cover_cache.resets);
     w.end_object();
-  }
-  if (options.include_reuse_counters) {
     w.key("workspace").begin_object();
     w.field("runs", item.workspace.runs);
     w.field("reuse_hits", item.workspace.reuse_hits);
@@ -131,12 +120,9 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
     w.field("from_scratch", item.workspace.from_scratch);
     w.field("resumed_steps", item.workspace.resumed_steps);
     w.end_object();
-  }
-  if (options.include_resume_counters) {
     w.key("path_tree").begin_object();
     w.field("prefix_resumes", item.tree.prefix_resumes);
     w.field("resumed_steps", item.tree.resumed_steps);
-    w.field("subtrees_parallel", item.tree.subtrees_parallel);
     w.end_object();
   }
   if (options.include_timing) {
@@ -175,10 +161,9 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
 // ---- Schedule-cache exact tier: key encoding + payload codec ----------
 //
 // The exact key is the canonical graph encoding followed by every option
-// field that affects a *serialized item*: not just the schedule/table
-// (priority policy, engine, merge order, seeds, path budget) but also
-// counter-shaping knobs (the decomposition target decides
-// PathTreeStats). Interrupt
+// field that affects a *serialized item*: the schedule/table (priority
+// policy, engine, merge order, seeds, path budget) and the walk mode,
+// which shapes the counters. Interrupt
 // limits (deadline, step budget, cancel) are deliberately absent — a
 // tripped item is never ok, and only ok items are cached. Index and seed
 // are absent too: that is the point of content addressing — the same
@@ -202,7 +187,7 @@ std::uint64_t read_u64(std::string_view in, std::size_t at) {
 std::string exact_key_encoding(const Cpg& g,
                                const CoSynthesisOptions& synthesis) {
   std::string key = canonical_encoding(g);
-  key.append("OPT2");
+  key.append("OPT3");
   const auto u8 = [&key](std::uint8_t v) {
     key.push_back(static_cast<char>(v));
   };
@@ -215,8 +200,6 @@ std::string exact_key_encoding(const Cpg& g,
   u8(static_cast<std::uint8_t>(synthesis.path_scheduling));
   append_u64(key, synthesis.merge.random_seed);
   append_u64(key, effective_max_paths(synthesis));
-  append_u64(key, synthesis.subtree_frontier);
-  append_u64(key, synthesis.schedule_threads);
   return key;
 }
 
@@ -224,7 +207,7 @@ std::string exact_key_encoding(const Cpg& g,
 // patterns for exact round-trips) plus the rendered CSV. Identity fields
 // (index, seed) and attempt/timing fields are excluded — the former come
 // from the replaying request, the latter are wall-clock.
-constexpr std::uint64_t kPayloadVersion = 2;
+constexpr std::uint64_t kPayloadVersion = 3;
 
 std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   std::string out;
@@ -269,7 +252,6 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   append_u64(out, item.workspace.checkpoints);
   append_u64(out, item.tree.prefix_resumes);
   append_u64(out, item.tree.resumed_steps);
-  append_u64(out, item.tree.subtrees_parallel);
   append_u64(out, csv.size());
   out.append(csv);
   return out;
@@ -277,8 +259,8 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
 
 bool decode_cached_item(std::string_view in, BatchItem* item,
                         std::string* csv) {
-  // 1 code byte + 34 u64 fields (version, 32 scalars, csv length).
-  constexpr std::size_t kFixed = 1 + 34 * 8;
+  // 1 code byte + 33 u64 fields (version, 31 scalars, csv length).
+  constexpr std::size_t kFixed = 1 + 33 * 8;
   if (in.size() < kFixed || read_u64(in, 0) != kPayloadVersion) return false;
   std::size_t at = 8;
   item->code = static_cast<ErrorCode>(static_cast<unsigned char>(in[at]));
@@ -328,7 +310,6 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
   item->workspace.checkpoints = u64();
   item->tree.prefix_resumes = u64();
   item->tree.resumed_steps = u64();
-  item->tree.subtrees_parallel = u64();
   const std::uint64_t csv_len = u64();
   if (in.size() - at != csv_len) return false;
   csv->assign(in.substr(at));
@@ -338,18 +319,19 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
 }  // namespace
 
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime) {
-  return run_batch_item(config, index, runtime, nullptr, nullptr);
+                         ThreadPool* /*ignored*/) {
+  return run_batch_item(config, index, nullptr, nullptr, nullptr);
 }
 
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime,
+                         ThreadPool* /*ignored*/,
                          const BatchItemObserver& observe) {
-  return run_batch_item(config, index, runtime, observe, nullptr);
+  return run_batch_item(config, index, nullptr, observe, nullptr);
 }
 
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime, const BatchItemObserver& observe,
+                         ThreadPool* /*ignored*/,
+                         const BatchItemObserver& observe,
                          std::string* table_csv) {
   BatchItem item;
   item.index = index;
@@ -387,23 +369,13 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       // Every item co-synthesizes on its own engine workspace: a workspace
       // is single-threaded and sharing one across pool workers would both
       // race and make the per-item reuse counters depend on scheduling
-      // (breaking the byte-identical JSON guarantee). Inner parallelism —
-      // the subtree jobs — rides the shared batch runtime via
-      // schedule_pool, with the trie decomposition pinned to a fixed
-      // frontier so the split (and with it every per-item counter) cannot
-      // depend on pool size. Items do not retain their path vectors —
-      // thousand-graph batches would otherwise carry O(paths × depth) dead
-      // weight apiece.
+      // (breaking the byte-identical JSON guarantee). Items do not retain
+      // their path vectors — thousand-graph batches would otherwise carry
+      // O(paths × depth) dead weight apiece.
       CoSynthesisOptions synthesis = config.synthesis;
       synthesis.workspace = nullptr;
-      synthesis.schedule_threads = 1;
-      synthesis.schedule_pool = runtime;
       synthesis.keep_paths = false;
       synthesis.budget = own_budget ? &budget : nullptr;
-      synthesis.schedule_cache = config.cache;
-      if (synthesis.subtree_frontier == 0) {
-        synthesis.subtree_frontier = kBatchSubtreeFrontier;
-      }
 
       // Exact-tier lookup: the key is the canonical graph encoding plus
       // the post-override options (what actually runs), so a hit replays
@@ -423,6 +395,8 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
             cached.index = item.index;
             cached.seed = item.seed;
             cached.attempts = item.attempts;
+            cached.retries = item.retries;
+            cached.backoff_ms = item.backoff_ms;
             if (table_csv != nullptr) *table_csv = std::move(csv);
             cached.total_ms = ms_between(t_begin, clock_type::now());
             return cached;
@@ -509,26 +483,18 @@ BatchResult run_batch(const BatchConfig& config) {
   const auto t_begin = clock_type::now();
   if (config.count > 0) {
     if (threads <= 1) {
-      // Serial reference: no pool at all. Items still run the same fixed
-      // trie decomposition, just inline — so the results (and the JSON,
-      // minus timing) match the pooled run byte for byte.
+      // Serial reference: no pool at all.
       for (std::size_t i = 0; i < config.count; ++i) {
-        result.items[i] = run_batch_item(config, i, nullptr);
+        result.items[i] = run_batch_item(config, i);
       }
     } else {
-      // One runtime for everything. Whole items are kLow so the stealable
-      // backlog of graphs never starves inner work: an item's subtree
-      // jobs (kNormal) always jump the queue, and idle workers fall back
-      // to stealing the next graph. The calling thread participates in
-      // parallel_for, so the pool only needs threads - 1 workers to reach
-      // the requested parallelism.
+      // Whole items are the unit of parallelism. The calling thread
+      // participates in parallel_for, so the pool only needs threads - 1
+      // workers to reach the requested parallelism.
       ThreadPool pool(threads - 1);
-      pool.parallel_for(
-          config.count,
-          [&](std::size_t i) {
-            result.items[i] = run_batch_item(config, i, &pool);
-          },
-          TaskPriority::kLow);
+      pool.parallel_for(config.count, [&](std::size_t i) {
+        result.items[i] = run_batch_item(config, i);
+      });
       // Drain before snapshotting: parallel_for joined the items, but
       // only an idle pool guarantees submitted == executed (+ cancelled)
       // with pending == 0 — the balanced snapshot the JSON reports.

@@ -2,19 +2,15 @@
 //
 // The paper's experiments (§6) co-synthesize ~1080 random CPGs; the
 // ROADMAP's north star is "thousands of scenarios, as fast as the hardware
-// allows". This driver is the scaling substrate: ONE work-stealing
-// runtime (support/thread_pool) co-synthesizes N random CPGs in parallel
-// and also runs each item's inner parallelism — guard-trie subtree jobs
-// are submitted to the same pool at a higher priority, so nested work
-// saturates the machine instead of serializing inside items or
-// oversubscribing it with per-item pools.
+// allows". This driver is the scaling substrate: one work-stealing
+// runtime (support/thread_pool) co-synthesizes N random CPGs in parallel,
+// one whole item per task; each item runs schedule_cpg's serial walk.
 // Each graph derives from a deterministic per-task seed (base_seed +
-// index) and each item pins its trie decomposition (a fixed subtree
-// frontier, independent of pool size), so results are byte-identical
-// regardless of thread count or completion order. Per-graph
-// pipeline-stage timings and delay/merge statistics are aggregated via
-// support/stats and exported as machine-readable JSON (support/json) for
-// the benchmark harness and external tooling.
+// index), so results are byte-identical regardless of thread count or
+// completion order. Per-graph pipeline-stage timings and delay/merge
+// statistics are aggregated via support/stats and exported as
+// machine-readable JSON (support/json) for the benchmark harness and
+// external tooling.
 #pragma once
 
 #include <functional>
@@ -24,7 +20,9 @@
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
 #include "sched/driver.hpp"
+#include "sched/schedule_cache.hpp"
 #include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 namespace cps {
 
@@ -54,7 +52,7 @@ struct BatchConfig {
   RandomArchParams arch;
   RandomCpgParams cpg;
   /// Per-item co-synthesis knobs. Most are passed through as-is; the
-  /// driver overrides workspace/schedule_pool/keep_paths per item (see
+  /// driver overrides workspace/keep_paths per item (see
   /// run_batch_item). synthesis.workspace_pool *does* flow through: a
   /// thread-safe pool of warm engine workspaces shared by every item
   /// (the service sets one per session). Results are identical with or
@@ -67,13 +65,8 @@ struct BatchConfig {
   /// batches and (via its persistent tier) processes — non-owning,
   /// thread-safe, must outlive the call. Exact tier: an item whose graph
   /// + result-affecting options were co-synthesized before replays the
-  /// recorded result (and CSV) without touching the engine. Prefix tier:
-  /// the driver seeds EngineHistory resume chains (see
-  /// CoSynthesisOptions::schedule_cache, which this populates). Results
-  /// are byte-identical with or without a cache; resume-class counters
-  /// (cover_cache/workspace/path_tree) reflect cache state — serialize
-  /// with BatchJsonOptions::include_resume_counters off when comparing a
-  /// warm-cache run against a cold oracle byte-for-byte.
+  /// recorded result (and CSV) without touching the engine. Results are
+  /// byte-identical with or without a cache.
   ScheduleCache* cache = nullptr;
 };
 
@@ -115,10 +108,8 @@ struct BatchItem {
   /// contract as cover_cache: each item runs on its own workspace, so the
   /// counters are a pure function of the seed).
   WorkspaceStats workspace;
-  /// Guard-trie scheduling counters (PathScheduling::kTree). Items pin
-  /// their trie decomposition to a fixed subtree frontier (independent of
-  /// pool size — the subtree jobs just run inline when the batch is
-  /// serial), so these are a pure function of the seed too.
+  /// Guard-trie scheduling counters (PathScheduling::kTree); a pure
+  /// function of the seed too.
   PathTreeStats tree;
 
   // Wall-clock per pipeline stage (milliseconds).
@@ -176,12 +167,14 @@ struct BatchResult {
   BatchSummary summary;
 };
 
-/// Run one item of the batch (exposed for tests and custom harnesses).
-/// `runtime` is the shared work-stealing pool the item's inner subtree
-/// jobs ride on; nullptr runs them inline on the calling thread — same
-/// decomposition, same results.
+/// Run one item of the batch (exposed for tests and custom harnesses) on
+/// the calling thread. The ThreadPool* parameter of all three overloads
+/// is ignored. It stays because perfbench/src/layers.cpp (3 arguments)
+/// and perfbench/src/workloads.cpp (5 arguments) pass nullptr there; the
+/// observer overload keeps it so a nullptr third argument stays
+/// unambiguous.
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime = nullptr);
+                         ThreadPool* /*ignored*/ = nullptr);
 
 /// Like run_batch_item, but additionally hands the successful attempt's
 /// full CoSynthesisResult to `observe` (never called when the item
@@ -192,7 +185,7 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
 /// attempt) must NOT escape the callback.
 using BatchItemObserver = std::function<void(const CoSynthesisResult&)>;
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime,
+                         ThreadPool* /*ignored*/,
                          const BatchItemObserver& observe);
 
 /// Like the observer overload, but additionally returns the schedule-table
@@ -202,7 +195,8 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
 /// a live CoSynthesisResult, is NOT called on a hit (the engine never
 /// ran). The service uses this overload for its table_csv responses.
 BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
-                         ThreadPool* runtime, const BatchItemObserver& observe,
+                         ThreadPool* /*ignored*/,
+                         const BatchItemObserver& observe,
                          std::string* table_csv);
 
 /// Run the whole batch on the configured thread pool. Per-item failures
@@ -215,19 +209,13 @@ struct BatchJsonOptions {
   bool include_timing = true;
   /// Include the per-item array, not just config + summary.
   bool include_items = true;
-  /// Include the per-item engine-workspace reuse-counter block. Those
-  /// counters are a pure function of the seed for the default cold
-  /// per-item workspaces, but with a shared WorkspacePool they reflect
-  /// warm-lease luck — disable when comparing a pooled run against a
-  /// cold oracle byte-for-byte (the service's determinism contract).
+  /// Include the per-item cover_cache, workspace and path_tree counter
+  /// blocks. They are a pure function of the seed for the default cold
+  /// per-item workspaces, but with a shared WorkspacePool the workspace
+  /// block reflects warm-lease luck — disable when comparing a pooled run
+  /// against a cold oracle byte-for-byte (the service's determinism
+  /// contract).
   bool include_reuse_counters = true;
-  /// Include the per-item cover_cache and path_tree blocks. Pure
-  /// functions of the seed for isolated items, but with a shared
-  /// ScheduleCache the prefix tier seeds resume chains across requests —
-  /// the same prefix-luck class as pooled workspace counters. The serve
-  /// protocol serializes with this off so a response stays a pure
-  /// function of (index, request options) regardless of cache state.
-  bool include_resume_counters = true;
   /// Spaces per indentation level (0 = compact).
   int indent = 2;
 };

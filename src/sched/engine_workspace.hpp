@@ -8,8 +8,8 @@
 // request snapshot, the per-task bookkeeping vectors, the per-resource
 // ready heaps and knowledge words, the private cover cache — alive across
 // runs so repeated `run_list_scheduler` calls only re-`assign` into warm
-// capacity. One workspace serves one thread: the serial driver and the
-// merge walk own one as a plain member, each trie subtree job its own.
+// capacity. One workspace serves one thread: the driver's per-path walk
+// and the merge walk each own one.
 //
 // On top of the workspace, EngineHistory records a *checkpoint stream*
 // during a lock-free run: the request-independent engine state at (a
@@ -175,25 +175,13 @@ struct EngineHistory {
 
   bool valid = false;
 
-  /// Caller hint: record checkpoints from the very first run (a chain
-  /// seeded from the schedule cache expects its leaves to resume).
-  /// Without it, checkpoint recording is demand-driven: the first run
-  /// stores only the cheap per-run metadata (identity, act, outcome), and
-  /// per-step recording starts once a sibling guard assignment with a
-  /// plausible resume has actually been observed (see `record`).
-  bool eager = false;
-  /// Demand latch, engine-maintained: a sibling guard assignment arrived
-  /// and could resume, so reruns happen here and recording pays.
-  bool record = false;
-
-  // Identity of the recorded request. The graph is identified by its
-  // canonical *content* digest, not the process-local uid: histories may
-  // cross requests — and, via the schedule cache's prefix tier,
-  // processes — so "same graph" must mean "same model". Safe because a
-  // history never holds pointers into the graph (unlike EngineWorkspace's
-  // address-keyed cover cache, which stays uid-bound) and the engine
-  // verifies the digest and task count before resuming.
-  Digest128 graph_digest;
+  // Identity of the recorded request. The graph is identified by
+  // FlatGraph::uid(), like EngineWorkspace's cover cache: the driver's
+  // resume chain lives for one schedule_cpg call, so "same graph" means
+  // "same expansion". A second expansion of the same Cpg gets a new uid,
+  // and a history handed to it runs from scratch. The engine verifies the
+  // uid and task count before resuming.
+  std::uint64_t graph_uid = 0;
   std::size_t task_count = 0;
   Cube label;
   std::vector<bool> active;

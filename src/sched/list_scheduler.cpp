@@ -611,7 +611,7 @@ bool Engine::history_guard_matches(const EngineHistory& h) const {
   // per-path runs of validated CPGs never deadlock, so an infeasible
   // record means malformed input (e.g. a hand-corrupted active set) where
   // the equivalence reasoning has no footing.
-  return h.graph_digest == fg_.canonical_digest() &&
+  return h.graph_uid == fg_.uid() &&
          h.task_count == fg_.task_count() &&
          h.feasible && h.enforce_knowledge && req_.enforce_knowledge &&
          h.cond_known.size() == fg_.cpg().conditions().size();
@@ -770,7 +770,7 @@ void Engine::maybe_record(Time now, std::size_t steps) {
 
 void Engine::finalize_history(bool feasible) {
   EngineHistory& h = *req_.history;
-  h.graph_digest = fg_.canonical_digest();
+  h.graph_uid = fg_.uid();
   h.task_count = fg_.task_count();
   h.label = label_;
   h.active = active_;
@@ -1037,15 +1037,15 @@ EngineResult Engine::run() {
       h.since_record = 0;
       h.valid = false;  // consistent again once finalize_history runs
     }
-    // Demand-driven recording: this run is worth checkpointing if the
-    // caller said so up front (eager) or a sibling guard assignment has
+    // Demand-driven recording: a run of a fresh history stores only the
+    // cheap per-run metadata (identity, act, outcome). This run is worth
+    // checkpointing per step only if a sibling guard assignment has
     // arrived on this history — which includes this very run — and a
     // resume is plausible (limit > 0): when sibling priorities diverge
     // right at t=0 — unbalanced arm durations shift every shared
     // critical-path priority — no checkpoint can ever be restored, and
     // per-step recording would be pure overhead on every leaf of the trie.
-    h.record = guard_usable && (resumed || limit > 0);
-    record_ckpts_ = h.eager || h.record;
+    record_ckpts_ = guard_usable && (resumed || limit > 0);
   }
 
   // Bounded-interval budget polling: the cancel token every step, the

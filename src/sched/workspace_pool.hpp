@@ -1,18 +1,19 @@
 // Thread-safe pool of warm EngineWorkspaces.
 //
 // An EngineWorkspace amortizes every engine-side buffer across runs, but
-// it is single-threaded: one workspace serves one run at a time. The
-// decomposed tree walk therefore used to construct a *fresh* workspace
-// per subtree job — correct, deterministic, and wasteful for a long-lived
-// service where the same connection co-synthesizes thousands of graphs:
-// every request re-paid the cold-buffer allocations.
+// it is single-threaded: one workspace serves one run at a time, and a
+// co-synthesis call without one constructs a fresh workspace — wasteful
+// for a long-lived service where the same connection co-synthesizes
+// thousands of graphs: every request would re-pay the cold-buffer
+// allocations.
 //
-// WorkspacePool closes that gap: jobs acquire() a workspace (popping a
-// warm one when available, creating one only when the pool is empty) and
-// the RAII lease returns it on scope exit. The co-synthesis daemon keys
-// one pool per connection ("session"), so a session's steady-state
-// requests run entirely on warm buffers while sessions stay isolated
-// from each other.
+// WorkspacePool closes that gap: each co-synthesis walk acquire()s a
+// workspace (popping a warm one when available, creating one only when
+// the pool is empty) and the RAII lease returns it on scope exit.
+// Concurrent requests of one session lease different workspaces. The
+// co-synthesis daemon keys one pool per connection ("session"), so a
+// session's steady-state requests run entirely on warm buffers while
+// sessions stay isolated from each other.
 //
 // Determinism: workspace identity never influences results — resumed and
 // from-scratch runs are byte-identical by construction and the existing

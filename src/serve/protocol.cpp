@@ -141,10 +141,6 @@ BatchJsonOptions serve_item_json_options() {
   BatchJsonOptions options;
   options.include_timing = false;
   options.include_reuse_counters = false;
-  // Prefix-seeded resume chains (the daemon's shared schedule cache) are
-  // cross-request state; keeping these counters out keeps a response a
-  // pure function of (index, request options) regardless of cache warmth.
-  options.include_resume_counters = false;
   options.include_items = true;
   options.indent = 0;
   return options;

@@ -22,7 +22,7 @@
 //    "workspace_pool".., "runtime"..}                   //  pool counters
 //
 // "item" is byte-for-byte the element run_batch's JSON would contain for
-// the same index (timing and workspace reuse counters omitted — see
+// the same index (timing and the reuse-counter blocks omitted — see
 // BatchJsonOptions), which is what makes server responses comparable to
 // an offline oracle. A "run" item that failed in the pipeline still gets
 // status "ok" at the envelope level only when the item ran; pipeline
@@ -84,8 +84,8 @@ std::string make_item_response(std::uint64_t id, const BatchItem& item,
 std::string make_drain_response(std::uint64_t id);
 
 /// Serialization options every run response uses (compact; no timing, no
-/// workspace reuse counters — the fields a warm per-session workspace
-/// pool or wall clock would perturb). The oracle comparison must use the
+/// reuse-counter blocks — the fields a warm per-session workspace pool or
+/// wall clock would perturb). The oracle comparison must use the
 /// same options on the run_batch side.
 BatchJsonOptions serve_item_json_options();
 

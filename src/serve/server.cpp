@@ -353,23 +353,21 @@ void Server::try_dispatch() {
     }
     ++running_;
     // The worker thread touches only immutable server state
-    // (options_.workload, pool_), its own Pending copy, and the
-    // completion queue + wakeup pipe.
+    // (options_.workload), the thread-safe cache_, its own Pending copy,
+    // and the completion queue + wakeup pipe.
     auto task = std::make_shared<Pending>(std::move(p));
-    pool_.submit(
-        [this, task] {
-          Completion done;
-          done.conn_id = task->conn_id;
-          done.id = task->id;
-          done.frame_bytes = task->frame_bytes;
-          done.payload = run_request(*task, &done.item_ok);
-          {
-            std::lock_guard<std::mutex> lock(completion_mutex_);
-            completions_.push_back(std::move(done));
-          }
-          signal_wakeup_pipe(wake_write_.get());
-        },
-        TaskPriority::kLow);
+    pool_.submit([this, task] {
+      Completion done;
+      done.conn_id = task->conn_id;
+      done.id = task->id;
+      done.frame_bytes = task->frame_bytes;
+      done.payload = run_request(*task, &done.item_ok);
+      {
+        std::lock_guard<std::mutex> lock(completion_mutex_);
+        completions_.push_back(std::move(done));
+      }
+      signal_wakeup_pipe(wake_write_.get());
+    });
   }
 }
 
@@ -406,7 +404,7 @@ std::string Server::run_request(const Pending& p, bool* item_ok) {
     // instead of an observer — the engine never runs on a hit).
     config.cache = cache_.get();
     std::string csv;
-    const BatchItem item = run_batch_item(config, p.index, &pool_, nullptr,
+    const BatchItem item = run_batch_item(config, p.index, nullptr, nullptr,
                                           p.csv ? &csv : nullptr);
     *item_ok = item.ok;
     return make_item_response(p.id, item,

@@ -4,9 +4,9 @@
 // work-stealing ThreadPool. The event loop does only cheap work —
 // accepting, framing, parsing, admission control, response flushing —
 // and never runs the pipeline itself: admitted requests queue in FIFO
-// order and dispatch onto the pool at kLow, where each one runs the same
-// run_batch_item the offline batch driver runs (inner subtree jobs keep
-// their higher kNormal priority on the same pool). Workers hand finished
+// order and dispatch onto the pool, one task per request, where each one
+// runs the same run_batch_item the offline batch driver runs (on the
+// worker's thread: a request's walk is serial). Workers hand finished
 // response frames back through a lock-free-enough completion queue plus a
 // wakeup pipe.
 //

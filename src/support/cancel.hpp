@@ -1,7 +1,7 @@
 // Cooperative cancellation and run budgets.
 //
 // The co-synthesis pipeline is a deep stack of loops — the engine's
-// event loop, the merge's decision-tree walk, trie subtree jobs, batch
+// event loop, the merge's decision-tree walk, the per-path walk, batch
 // items — and every one of them can be handed a RunBudget: a non-owning
 // bundle of an optional CancelToken, an optional wall-clock deadline,
 // and optional step/path budgets. Loops poll it cooperatively (there is
@@ -47,7 +47,7 @@ class CancelToken {
 
 /// Limits for one co-synthesis run (or one batch item). Non-owning and
 /// shared: the same budget is handed by pointer to every layer of one
-/// run — engine, merge walk, subtree jobs — so the step counter is global
+/// run — engine, merge walk, per-path walk — so the step counter is global
 /// to the run, not per engine invocation.
 /// Non-copyable (the step counter is an atomic); pass by pointer.
 struct RunBudget {

@@ -1,11 +1,10 @@
 // Deterministic, seeded fault injection for robustness tests.
 //
 // The pipeline's error paths — exceptions crossing ThreadPool steal
-// boundaries, cancellation racing the trie walk's DFS-ordered commit, a
-// batch item dying mid-graph — are nearly impossible to hit organically
-// with real inputs, so they would rot untested. This framework plants
-// named fault *sites* at the interesting boundaries: engine.run,
-// engine.step, merge.adjust, trie.subtree, trie.commit, batch.item,
+// boundaries, a batch item dying mid-graph — are nearly impossible to hit
+// organically with real inputs, so they would rot untested. This
+// framework plants named fault *sites* at the interesting boundaries:
+// engine.run, engine.step, merge.adjust, batch.item,
 // pool.group_task and the daemon's serve.accept, serve.read,
 // serve.dispatch and serve.write. A test arms a site with a 1-based hit
 // ordinal and the site throws InjectedFault on exactly that hit —

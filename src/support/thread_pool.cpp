@@ -84,22 +84,21 @@ PoolStats ThreadPool::stats() const {
   return s;
 }
 
-void ThreadPool::submit(std::function<void()> job, TaskPriority priority) {
+void ThreadPool::submit(std::function<void()> job) {
   CPS_REQUIRE(job != nullptr, "ThreadPool::submit: empty job");
-  push_task(Task{std::move(job), nullptr}, priority);
+  push_task(Task{std::move(job), nullptr});
 }
 
-void ThreadPool::push_task(Task task, TaskPriority priority) {
+void ThreadPool::push_task(Task task) {
   CPS_REQUIRE(!stop_.load(), "ThreadPool::submit after shutdown began");
-  const auto level = static_cast<std::size_t>(priority);
   const std::size_t self = worker_index();
   if (self != kNotAWorker) {
     // Owner end: LIFO for the owner, FIFO (front) for thieves.
     std::lock_guard<std::mutex> lock(queues_[self]->mutex);
-    queues_[self]->runq[level].push_back(std::move(task));
+    queues_[self]->runq.push_back(std::move(task));
   } else {
     std::lock_guard<std::mutex> lock(inject_mutex_);
-    inject_[level].push_back(std::move(task));
+    inject_.push_back(std::move(task));
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_add(1);
@@ -121,42 +120,38 @@ bool ThreadPool::try_pop(std::size_t self, Task* out) {
     active_.fetch_add(1);
     pending_.fetch_sub(1);
   };
-  // Strict priority ordering across every source: a kNormal task anywhere
-  // beats the scanner's own kLow work.
-  for (std::size_t level = 0; level < kPriorities; ++level) {
-    if (self != kNotAWorker) {
-      WorkerQueue& own = *queues_[self];
-      std::lock_guard<std::mutex> lock(own.mutex);
-      if (!own.runq[level].empty()) {
-        *out = std::move(own.runq[level].back());
-        own.runq[level].pop_back();
-        local_hits_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+  if (self != kNotAWorker) {
+    WorkerQueue& own = *queues_[self];
+    std::lock_guard<std::mutex> lock(own.mutex);
+    if (!own.runq.empty()) {
+      *out = std::move(own.runq.back());
+      own.runq.pop_back();
+      local_hits_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
-    {
-      std::lock_guard<std::mutex> lock(inject_mutex_);
-      if (!inject_[level].empty()) {
-        *out = std::move(inject_[level].front());
-        inject_[level].pop_front();
-        injected_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+  }
+  {
+    std::lock_guard<std::mutex> lock(inject_mutex_);
+    if (!inject_.empty()) {
+      *out = std::move(inject_.front());
+      inject_.pop_front();
+      injected_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t v = self == kNotAWorker ? k : (self + 1 + k) % n;
-      if (v == self) continue;
-      WorkerQueue& victim = *queues_[v];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.runq[level].empty()) {
-        *out = std::move(victim.runq[level].front());
-        victim.runq[level].pop_front();
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t v = self == kNotAWorker ? k : (self + 1 + k) % n;
+    if (v == self) continue;
+    WorkerQueue& victim = *queues_[v];
+    std::lock_guard<std::mutex> lock(victim.mutex);
+    if (!victim.runq.empty()) {
+      *out = std::move(victim.runq.front());
+      victim.runq.pop_front();
+      steals_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
   }
   return false;
@@ -194,22 +189,18 @@ bool ThreadPool::try_pop_tagged(const void* tag, Task* out) {
   if (self != kNotAWorker) {
     WorkerQueue& own = *queues_[self];
     std::lock_guard<std::mutex> lock(own.mutex);
-    for (std::size_t level = 0; level < kPriorities; ++level) {
-      if (take_tagged(own.runq[level], tag, /*newest_first=*/true, out)) {
-        local_hits_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+    if (take_tagged(own.runq, tag, /*newest_first=*/true, out)) {
+      local_hits_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
   }
   {
     std::lock_guard<std::mutex> lock(inject_mutex_);
-    for (std::size_t level = 0; level < kPriorities; ++level) {
-      if (take_tagged(inject_[level], tag, /*newest_first=*/false, out)) {
-        injected_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+    if (take_tagged(inject_, tag, /*newest_first=*/false, out)) {
+      injected_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
   }
   for (std::size_t k = 0; k < n; ++k) {
@@ -217,13 +208,10 @@ bool ThreadPool::try_pop_tagged(const void* tag, Task* out) {
     if (v == self) continue;
     WorkerQueue& victim = *queues_[v];
     std::lock_guard<std::mutex> lock(victim.mutex);
-    for (std::size_t level = 0; level < kPriorities; ++level) {
-      if (take_tagged(victim.runq[level], tag, /*newest_first=*/false,
-                      out)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        claim();
-        return true;
-      }
+    if (take_tagged(victim.runq, tag, /*newest_first=*/false, out)) {
+      steals_.fetch_add(1, std::memory_order_relaxed);
+      claim();
+      return true;
     }
   }
   return false;
@@ -281,8 +269,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body,
-                              TaskPriority priority) {
+                              const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   // Shared by the caller and the helper tasks; kept alive by shared_ptr
   // so a helper scheduled after the caller finished (all indices
@@ -312,7 +299,7 @@ void ThreadPool::parallel_for(std::size_t count,
     const std::size_t helpers =
         count > 1 ? std::min(thread_count(), count - 1) : 0;
     for (std::size_t i = 0; i < helpers; ++i) {
-      group.submit([state, drain] { drain(*state); }, priority);
+      group.submit([state, drain] { drain(*state); });
     }
     try {
       drain(*state);
@@ -352,7 +339,7 @@ void TaskGroup::wait_dismissing_errors() {
   error_ = nullptr;
 }
 
-void TaskGroup::submit(std::function<void()> fn, TaskPriority priority) {
+void TaskGroup::submit(std::function<void()> fn) {
   CPS_REQUIRE(fn != nullptr, "TaskGroup::submit: empty job");
   std::size_t seq;
   {
@@ -389,8 +376,7 @@ void TaskGroup::submit(std::function<void()> fn, TaskPriority priority) {
                              1, std::memory_order_relaxed);
                          if (--pending_ == 0) cv_.notify_all();
                        },
-                       this},
-      priority);
+                       this});
 }
 
 void TaskGroup::wait_impl(bool rethrow) {

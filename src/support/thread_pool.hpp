@@ -1,35 +1,25 @@
 // Work-stealing task runtime.
 //
-// Grown out of the batch driver's ad-hoc thread spawning, then a central
-// mutex + single queue pool, and now a work-stealing scheduler: every
-// parallel subsystem (batch co-synthesis, the daemon's requests,
-// guard-trie subtree dispatch) shares ONE pool instead of each carving a
-// slice of the machine — nested parallelism (a batch of tree-scheduled
-// items) keeps all cores busy instead of oversubscribing or degenerating
-// to serial inner execution.
+// The parallel subsystems — batch co-synthesis and the daemon's
+// requests — run whole items on it, one task per item; each item runs
+// the serial co-synthesis walk.
 //
 // Scheduler shape (cf. managarm's per-CPU run queues in SNIPPETS):
-//  * per-worker deques, one per priority level — the owner pushes and
-//    pops at the back (LIFO: a worker's freshest task is the hottest),
-//    thieves steal from the front (FIFO: the oldest task is the largest
-//    remaining subtree, and the owner's end stays uncontended);
+//  * per-worker deques — the owner pushes and pops at the back (LIFO: a
+//    worker's freshest task is the hottest), thieves steal from the front
+//    (FIFO: the oldest task is the largest remaining piece of work, and
+//    the owner's end stays uncontended);
 //  * a global injection queue for submissions from non-worker threads;
-//  * strict priority ordering across ALL sources: a worker prefers a
-//    kNormal task anywhere (own deque, injection queue, someone else's
-//    deque) over its own kLow work, so inner jobs (guard-trie subtrees,
-//    which a running batch item waits on) are never starved behind bulk
-//    batch items;
 //  * nesting support — a task that must wait for child tasks *help-runs*
-//    them (TaskGroup::wait) instead of blocking its worker, so a batch
-//    item running on a worker can fan its subtree jobs out on the same
-//    pool without deadlock and without idling the worker.
+//    them (TaskGroup::wait) instead of blocking its worker, so a task can
+//    fan work out on the same pool (parallel_for from inside a job)
+//    without deadlock and without idling the worker.
 //
 // Design constraints, in order:
 //  * determinism friendliness — the pool never decides *what* result is
 //    produced, only *where* a pure function runs. Callers that need
-//    byte-identical output across thread counts (batch driver, tree-mode
-//    scheduling) keep their own commit ordering; the pool makes no
-//    ordering promise beyond priority preference.
+//    byte-identical output across thread counts (the batch driver) keep
+//    their own commit ordering; the pool makes no ordering promise.
 //  * deadlock freedom under nesting — TaskGroup::wait help-runs its own
 //    group's queued tasks (a waiter never idles while its children are
 //    runnable).
@@ -49,13 +39,6 @@
 #include <vector>
 
 namespace cps {
-
-/// Scheduling preference of a submitted task. Workers scan levels in
-/// order, across every source, before looking at the next level.
-enum class TaskPriority : std::uint8_t {
-  kNormal = 0,  ///< default (subtree jobs, parallel_for helpers)
-  kLow = 1,     ///< bulk background work (batch items, daemon requests)
-};
 
 /// Cumulative scheduler counters. Timing-dependent by nature (which
 /// worker pops which task is a race the scheduler is *allowed* to have):
@@ -111,8 +94,7 @@ class ThreadPool {
   /// std::exception_ptr on the caller's side, or use TaskGroup, which
   /// does exactly that); an escaping exception terminates the process, as
   /// with raw std::thread.
-  void submit(std::function<void()> job,
-              TaskPriority priority = TaskPriority::kNormal);
+  void submit(std::function<void()> job);
 
   /// Block until the queue is empty and no job is running.
   void wait_idle();
@@ -126,8 +108,7 @@ class ThreadPool {
   /// caller-then-helper order) propagates after every index finished or
   /// was abandoned by its helper.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body,
-                    TaskPriority priority = TaskPriority::kNormal);
+                    const std::function<void(std::size_t)>& body);
 
   /// Resolve a user-facing thread-count knob: 0 = hardware concurrency.
   static std::size_t resolve_threads(std::size_t requested);
@@ -150,8 +131,6 @@ class ThreadPool {
  private:
   friend class TaskGroup;
 
-  static constexpr std::size_t kPriorities = 2;
-
   /// A queued unit of work. `tag` identifies the TaskGroup (if any) so a
   /// waiter can help-run its own group's tasks; untagged tasks are only
   /// picked up by the worker loop.
@@ -165,18 +144,18 @@ class ThreadPool {
   /// is bounded to deque internals.
   struct WorkerQueue {
     std::mutex mutex;
-    std::deque<Task> runq[kPriorities];
+    std::deque<Task> runq;
   };
 
-  void push_task(Task task, TaskPriority priority);
+  void push_task(Task task);
   /// Remove the first task with this group tag from a deque. Owners
   /// search newest-first (the LIFO end they would pop anyway); thieves
   /// and the injection queue search oldest-first.
   static bool take_tagged(std::deque<Task>& q, const void* tag,
                           bool newest_first, Task* out);
-  /// Pop the best runnable task for `self` (kNotAWorker = external
-  /// thread): scans level by level — own deque back, injection front,
-  /// then every other worker's front. Decrements pending_ on success.
+  /// Pop a runnable task for `self` (kNotAWorker = external thread): own
+  /// deque back, injection front, then every other worker's front.
+  /// Decrements pending_ on success.
   bool try_pop(std::size_t self, Task* out);
   /// Like try_pop but only considers tasks with this group tag.
   bool try_pop_tagged(const void* tag, Task* out);
@@ -190,7 +169,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 
   std::mutex inject_mutex_;
-  std::deque<Task> inject_[kPriorities];
+  std::deque<Task> inject_;
 
   /// Tasks queued anywhere (deques + injection). The sleep protocol:
   /// pushers bump pending_ then notify under sleep_mutex_; a worker that
@@ -237,8 +216,7 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  void submit(std::function<void()> fn,
-              TaskPriority priority = TaskPriority::kNormal);
+  void submit(std::function<void()> fn);
 
   /// Block until every submitted task completed, help-running queued
   /// group tasks meanwhile. Rethrows the first captured exception in

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/batch_driver.hpp"
+#include "sched/priority.hpp"
 #include "sched/workspace_pool.hpp"
 #include "support/json.hpp"
 
@@ -127,11 +128,7 @@ TEST(BatchDriver, TreeAndListSchedulingAgreeOnResults) {
     EXPECT_EQ(tree.items[i].delta_max, list.items[i].delta_max);
     EXPECT_EQ(tree.items[i].table_entries, list.items[i].table_entries);
     EXPECT_EQ(tree.items[i].paths, list.items[i].paths);
-    // Items decompose the trie into the fixed batch frontier (inline
-    // here — a serial batch has no pool); the list reference never
-    // splits or resumes.
-    EXPECT_GT(tree.items[i].tree.subtrees_parallel, 1u);
-    EXPECT_EQ(list.items[i].tree.subtrees_parallel, 0u);
+    // The list reference never resumes.
     EXPECT_EQ(list.items[i].tree.prefix_resumes, 0u);
     resumes += tree.items[i].tree.prefix_resumes;
   }
@@ -145,16 +142,15 @@ TEST(BatchDriver, JsonCarriesPathTreeCounters) {
   EXPECT_NE(json.find("\"path_scheduling\": \"tree\""), std::string::npos);
   EXPECT_NE(json.find("\"path_tree\""), std::string::npos);
   EXPECT_NE(json.find("\"prefix_resumes\""), std::string::npos);
-  EXPECT_NE(json.find("\"subtrees_parallel\""), std::string::npos);
   // Deterministic JSON must not leak the timing-gated runtime counters.
   EXPECT_EQ(json.find("\"runtime\""), std::string::npos);
   EXPECT_EQ(json.find("\"steals\""), std::string::npos);
 }
 
-// The ISSUE-6 acceptance sweep: 40 tree-scheduled seeds, byte-identical
-// JSON at every thread count. The 1-thread run has no pool at all (the
-// serial reference); the others nest item-, subtree- and merge-level work
-// on one runtime — none of which may leak into deterministic output.
+// 40 tree-scheduled seeds, byte-identical JSON at every thread count.
+// The 1-thread run has no pool at all (the serial reference); the others
+// run whole items on one runtime — none of which may leak into
+// deterministic output.
 TEST(BatchDriver, FortySeedTreeSweepIsByteIdenticalAt1248Threads) {
   BatchConfig config;
   config.count = 40;
@@ -173,11 +169,9 @@ TEST(BatchDriver, FortySeedTreeSweepIsByteIdenticalAt1248Threads) {
   }
 }
 
-// A pooled tree-mode batch must actually run inner subtree jobs on the
-// runtime: the pool executes more tasks than there are items, and the
-// workers find work in their own deques or by stealing (not only via the
-// external injection queue the batch items arrive through).
-TEST(BatchDriver, PooledBatchRunsInnerSubtreeJobsOnPoolWorkers) {
+// A pooled batch runs its items on the runtime and reports a balanced
+// runtime snapshot.
+TEST(BatchDriver, PooledBatchReportsABalancedRuntimeSnapshot) {
   BatchConfig config = small_config();
   config.cpg.path_count = 8;
   config.threads = 4;
@@ -187,34 +181,58 @@ TEST(BatchDriver, PooledBatchRunsInnerSubtreeJobsOnPoolWorkers) {
   const PoolStats& pool = result.summary.pool;
   // run_batch drains the pool before snapshotting, so the snapshot is
   // exactly balanced.
+  EXPECT_GT(pool.executed, 0u);
   EXPECT_EQ(pool.executed, pool.submitted);
-  EXPECT_GT(pool.executed, static_cast<std::uint64_t>(config.count));
-  EXPECT_GT(pool.local_hits + pool.steals, 0u);
-  for (const BatchItem& item : result.items) {
-    EXPECT_GT(item.tree.subtrees_parallel, 1u);
-  }
+  EXPECT_EQ(pool.pending, 0u);
 }
 
 // A shared warm-workspace pool (the service's per-session reuse) must
 // not change any result: with the reuse counters excluded from the
-// serialization, a pooled batch is byte-identical to a cold one.
+// serialization, a pooled batch is byte-identical to a cold one. Of
+// those counters only the workspace block reflects warm-lease luck; the
+// cover_cache and path_tree counters stay a pure function of the graph
+// and options, so they must match item by item too. Critical-path
+// priorities (the default) on random CPGs diverge between sibling leaves
+// at t=0, so their leaves seldom resume; the task-order run gives the
+// path_tree counters values worth comparing.
 TEST(BatchDriver, SharedWorkspacePoolKeepsResultsByteIdentical) {
-  BatchConfig config = small_config();
-  BatchJsonOptions json_options = deterministic_json();
-  json_options.include_reuse_counters = false;
-  const std::string cold =
-      batch_result_to_json(run_batch(config), json_options);
+  std::size_t prefix_resumes = 0;
+  for (PriorityPolicy policy :
+       {PriorityPolicy::kCriticalPath, PriorityPolicy::kTaskOrder}) {
+    SCOPED_TRACE(to_string(policy));
+    BatchConfig config = small_config();
+    config.synthesis.path_priority = policy;
+    BatchJsonOptions json_options = deterministic_json();
+    json_options.include_reuse_counters = false;
+    const BatchResult cold_result = run_batch(config);
+    const std::string cold = batch_result_to_json(cold_result, json_options);
 
-  WorkspacePool pool;
-  config.synthesis.workspace_pool = &pool;
-  const std::string warm =
-      batch_result_to_json(run_batch(config), json_options);
-  EXPECT_EQ(cold, warm);
+    WorkspacePool pool;
+    config.synthesis.workspace_pool = &pool;
+    const BatchResult warm_result = run_batch(config);
+    const std::string warm = batch_result_to_json(warm_result, json_options);
+    EXPECT_EQ(cold, warm);
 
-  const WorkspacePool::Stats stats = pool.stats();
-  EXPECT_GT(stats.leases, 0u);
-  EXPECT_GT(stats.warm_hits, 0u) << "the pool must actually reuse buffers";
-  EXPECT_EQ(pool.idle(), stats.created) << "every lease returned";
+    ASSERT_EQ(cold_result.items.size(), warm_result.items.size());
+    for (std::size_t i = 0; i < cold_result.items.size(); ++i) {
+      SCOPED_TRACE("item " + std::to_string(i));
+      const BatchItem& c = cold_result.items[i];
+      const BatchItem& w = warm_result.items[i];
+      EXPECT_EQ(c.cover_cache.hits, w.cover_cache.hits);
+      EXPECT_EQ(c.cover_cache.misses, w.cover_cache.misses);
+      EXPECT_EQ(c.cover_cache.entries, w.cover_cache.entries);
+      EXPECT_EQ(c.cover_cache.resets, w.cover_cache.resets);
+      EXPECT_EQ(c.tree.prefix_resumes, w.tree.prefix_resumes);
+      EXPECT_EQ(c.tree.resumed_steps, w.tree.resumed_steps);
+      prefix_resumes += c.tree.prefix_resumes;
+    }
+
+    const WorkspacePool::Stats stats = pool.stats();
+    EXPECT_GT(stats.leases, 0u);
+    EXPECT_GT(stats.warm_hits, 0u) << "the pool must actually reuse buffers";
+    EXPECT_EQ(pool.idle(), stats.created) << "every lease returned";
+  }
+  EXPECT_GT(prefix_resumes, 0u) << "the path_tree comparison must bite";
 }
 
 TEST(BatchDriver, SummaryAggregatesOnlySuccessfulItems) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "io/table_csv.hpp"
 #include "sched/batch_driver.hpp"
 #include "sched/driver.hpp"
 #include "support/cancel.hpp"
@@ -159,22 +160,15 @@ TEST(Cancellation, ExpiredDeadlineThrowsDeadlineExceeded) {
 TEST(Cancellation, StepBudgetTripsInsideTheEngineAtEveryMode) {
   // max_steps is charged by the engine main loop itself, so this
   // exercises the deepest interrupt path: engine -> check_path_result ->
-  // typed throw, in list mode, serial tree mode and decomposed tree mode.
+  // typed throw, in list mode and tree mode.
   const Cpg g = series_of_conditions(5);  // 32 leaves
-  struct Mode {
-    PathScheduling scheduling;
-    std::size_t threads;
-  };
-  for (const Mode mode : {Mode{PathScheduling::kList, 1},
-                          Mode{PathScheduling::kTree, 1},
-                          Mode{PathScheduling::kTree, 4}}) {
-    SCOPED_TRACE(std::string(to_string(mode.scheduling)) + " threads " +
-                 std::to_string(mode.threads));
+  for (const PathScheduling mode :
+       {PathScheduling::kList, PathScheduling::kTree}) {
+    SCOPED_TRACE(to_string(mode));
     RunBudget budget;
     budget.max_steps = 3;  // far less than one path needs
     CoSynthesisOptions options;
-    options.path_scheduling = mode.scheduling;
-    options.schedule_threads = mode.threads;
+    options.path_scheduling = mode;
     options.budget = &budget;
     try {
       schedule_cpg(g, options);
@@ -228,22 +222,53 @@ TEST(BoundedCoverage, KBoundReturnsTruncatedResultWithCoverage) {
   EXPECT_DOUBLE_EQ(complete.coverage, 1.0);
 }
 
-TEST(BoundedCoverage, TruncationIsIdenticalAcrossModesAndThreadCounts) {
-  // The kept prefix is a pure function of the enumeration order, so the
-  // bounded table must be byte-identical in list mode, serial tree mode
-  // and (via the deterministic serial fallback) parallel tree mode.
-  const Cpg g = series_of_conditions(6);
-  CoSynthesisOptions list;
-  list.max_paths = 16;
-  list.on_budget = BudgetAction::kBound;
-  list.path_scheduling = PathScheduling::kList;
-  const CoSynthesisResult reference = schedule_cpg(g, list);
-  for (std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    CoSynthesisOptions tree = list;
-    tree.path_scheduling = PathScheduling::kTree;
-    tree.schedule_threads = threads;
-    expect_identical_results(schedule_cpg(g, tree), reference);
+TEST(BoundedCoverage, TruncationAtTheBudgetBoundaryIsIdenticalAcrossModes) {
+  // The walk's streaming path counter is the only budget check. One path
+  // under the leaf count trips it; the exact leaf count and one more run
+  // the whole graph. The kept prefix is a pure function of the
+  // enumeration order, so both modes keep the same bytes.
+  const Cpg g = series_of_conditions(6);  // 64 leaves
+  const auto run = [&](PathScheduling mode, std::size_t max_paths,
+                       BudgetAction action) {
+    CoSynthesisOptions options;
+    options.path_scheduling = mode;
+    options.max_paths = max_paths;
+    options.on_budget = action;
+    return schedule_cpg(g, options);
+  };
+  const auto expect_same_bytes = [](const CoSynthesisResult& a,
+                                    const CoSynthesisResult& b) {
+    expect_identical_results(a, b);
+    EXPECT_EQ(table_csv_string(a.table), table_csv_string(b.table));
+  };
+  const CoSynthesisResult truncated =
+      run(PathScheduling::kList, 63, BudgetAction::kBound);
+  for (const PathScheduling mode :
+       {PathScheduling::kList, PathScheduling::kTree}) {
+    SCOPED_TRACE(to_string(mode));
+    const CoSynthesisResult full = run(mode, 0, BudgetAction::kThrow);
+    ASSERT_EQ(full.path_count, 64u);
+
+    try {
+      run(mode, 63, BudgetAction::kThrow);
+      FAIL() << "expected a path-budget trip at 63";
+    } catch (const BudgetExceededError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kPathBudgetExceeded);
+    }
+    const CoSynthesisResult bounded = run(mode, 63, BudgetAction::kBound);
+    EXPECT_EQ(bounded.status, ErrorCode::kPathBudgetExceeded);
+    EXPECT_EQ(bounded.path_count, 63u);
+    EXPECT_EQ(bounded.total_leaves, 64u);
+    EXPECT_DOUBLE_EQ(bounded.coverage, 63.0 / 64.0);
+    expect_same_bytes(bounded, truncated);
+
+    for (const std::size_t max_paths : {64u, 65u}) {
+      SCOPED_TRACE("max_paths " + std::to_string(max_paths));
+      for (const BudgetAction action :
+           {BudgetAction::kThrow, BudgetAction::kBound}) {
+        expect_same_bytes(run(mode, max_paths, action), full);
+      }
+    }
   }
 }
 

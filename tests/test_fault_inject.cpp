@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sched/batch_driver.hpp"
+#include "sched/schedule_cache.hpp"
 #include "support/fault.hpp"
 #include "support/thread_pool.hpp"
 
@@ -31,8 +32,7 @@ using namespace cps;
 /// order. "pool.group_task" is exercised at the TaskGroup level (a serial
 /// batch never routes work through one).
 const char* const kBatchSites[] = {
-    "batch.item",   "engine.run",  "engine.step",
-    "trie.subtree", "trie.commit", "merge.adjust",
+    "batch.item", "engine.run", "engine.step", "merge.adjust",
 };
 
 BatchConfig sweep_config() {
@@ -163,33 +163,46 @@ TEST_F(FaultInject, TransientFaultsRetryWithDeterministicBackoff) {
   config.max_retries = 2;
   const std::string reference_json = json_of(run_batch(config));
 
-  fault::FaultSpec spec;
-  spec.fire_at = 1;
-  spec.count = 1;  // fail the first attempt only
-  spec.transient = true;
-  fault::arm("batch.item", spec);
-  const BatchResult result = run_batch(config);
-  fault::disarm_all();
+  // Without a cache, then against a warm one: there the retried attempt
+  // replays an exact hit, which must keep the retries that came before it.
+  ScheduleCache warm;
+  for (ScheduleCache* cache : {static_cast<ScheduleCache*>(nullptr), &warm}) {
+    SCOPED_TRACE(cache == nullptr ? "no cache" : "warm cache");
+    config.cache = cache;
+    if (cache != nullptr) {
+      ASSERT_EQ(json_of(run_batch(config)), reference_json);
+    }
 
-  // Item 0 recovered on the retry; its serialized form is identical to
-  // the never-faulted run (attempt counters are struct-only on purpose).
-  const BatchItem& item = result.items[0];
-  EXPECT_TRUE(item.ok);
-  EXPECT_EQ(item.code, ErrorCode::kOk);
-  EXPECT_EQ(item.attempts, 2u);
-  EXPECT_EQ(item.retries, 1u);
-  EXPECT_GT(item.backoff_ms, 0u);
-  EXPECT_LE(item.backoff_ms, 8u);  // capped
-  EXPECT_EQ(result.summary.ok_count, config.count);
-  EXPECT_EQ(result.summary.retries, 1u);
-  // The summary's retry counter is the one legitimate delta: it records
-  // that a fault ever happened. Normalize it and demand byte-equality
-  // everywhere else.
-  std::string faulted = json_of(result);
-  const auto pos = faulted.find("\"retries\": 1");
-  ASSERT_NE(pos, std::string::npos);
-  faulted.replace(pos, std::string("\"retries\": 1").size(), "\"retries\": 0");
-  EXPECT_EQ(faulted, reference_json);
+    fault::FaultSpec spec;
+    spec.fire_at = 1;
+    spec.count = 1;  // fail the first attempt only
+    spec.transient = true;
+    fault::arm("batch.item", spec);
+    const BatchResult result = run_batch(config);
+    fault::disarm_all();
+
+    // Item 0 recovered on the retry; its serialized form is identical to
+    // the never-faulted run (attempt counters are struct-only on purpose).
+    const BatchItem& item = result.items[0];
+    EXPECT_TRUE(item.ok);
+    EXPECT_EQ(item.code, ErrorCode::kOk);
+    EXPECT_EQ(item.attempts, 2u);
+    EXPECT_EQ(item.retries, 1u);
+    EXPECT_GT(item.backoff_ms, 0u);
+    EXPECT_LE(item.backoff_ms, 8u);  // capped
+    EXPECT_EQ(result.summary.ok_count, config.count);
+    EXPECT_EQ(result.summary.retries, 1u);
+    // The summary's retry counter is the one legitimate delta: it records
+    // that a fault ever happened. Normalize it and demand byte-equality
+    // everywhere else.
+    std::string faulted = json_of(result);
+    const auto pos = faulted.find("\"retries\": 1");
+    ASSERT_NE(pos, std::string::npos);
+    faulted.replace(pos, std::string("\"retries\": 1").size(),
+                    "\"retries\": 0");
+    EXPECT_EQ(faulted, reference_json);
+  }
+  EXPECT_EQ(warm.stats().hits, config.count);  // item 0's retry included
 }
 
 TEST_F(FaultInject, PersistentTransientFaultExhaustsRetries) {

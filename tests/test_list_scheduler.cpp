@@ -369,13 +369,24 @@ TEST(ListScheduler, DeadlockIsReportedNotThrown) {
 // tree-vs-list suite in test_path_tree.cpp. Mid-chain, a request with a
 // lock (the shape of a merge adjustment) is handed the same history: it
 // must run from scratch and leave the chain untouched, so the next
-// lock-free leaf resumes exactly as it would have without it.
+// lock-free leaf resumes exactly as it would have without it. At the end
+// of the chain, a second expansion of the same Cpg is handed a copy of
+// the history: a history names its graph by FlatGraph::uid(), so that
+// run must start from scratch where the first expansion may resume.
+// Recording is demand-driven, as in the driver. Critical-path priorities
+// (even seeds) on random CPGs usually diverge between siblings at t=0,
+// so their chains rarely record; task-order priorities (odd seeds) leave
+// the guard divergence to the conditions, so those chains resume.
 TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
   std::size_t resumed = 0;
   std::size_t resumed_steps = 0;
   std::size_t resumed_after_lock = 0;
+  std::size_t resumable_on_first_expansion = 0;
   for (std::uint64_t seed = 41; seed <= 70; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
+    const PriorityPolicy policy = seed % 2 == 0
+                                      ? PriorityPolicy::kCriticalPath
+                                      : PriorityPolicy::kTaskOrder;
     Rng rng(seed);
     const Architecture arch = generate_random_architecture(rng);
     RandomCpgParams params;
@@ -386,11 +397,9 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
     EngineWorkspace chain_ws;
     EngineWorkspace scratch_ws;
     EngineHistory chain;
-    chain.eager = true;
     // The same chain without the locked request, as the control.
     EngineWorkspace control_ws;
     EngineHistory control;
-    control.eager = true;
     const std::vector<AltPath> paths = enumerate_paths(g);
     const std::size_t locked_at = paths.size() / 2;
     for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -398,8 +407,7 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
       EngineRequest req;
       req.label = path.label;
       req.active = fg.active_tasks(path.label);
-      req.priority = compute_priorities(fg, req.active,
-                                        PriorityPolicy::kCriticalPath);
+      req.priority = compute_priorities(fg, req.active, policy);
       EngineRequest scratch = req;
       req.resume = EngineResume::kCheckpoint;
       req.history = &chain;
@@ -431,6 +439,31 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
         resumed_steps += a.resumed_steps;
       }
     }
+    // The next-to-last leaf shares the longest prefix with the last one,
+    // which the chain recorded.
+    if (paths.size() >= 2) {
+      const AltPath& sibling = paths[paths.size() - 2];
+      const FlatGraph again = FlatGraph::expand(g);
+      for (const FlatGraph* graph : {&fg, &again}) {
+        EngineRequest req;
+        req.label = sibling.label;
+        req.active = graph->active_tasks(sibling.label);
+        req.priority = compute_priorities(*graph, req.active, policy);
+        const EngineResult scratch =
+            run_list_scheduler(*graph, req, scratch_ws);
+        EngineHistory history = chain;
+        req.resume = EngineResume::kCheckpoint;
+        req.history = &history;
+        EngineWorkspace ws;
+        const EngineResult r = run_list_scheduler(*graph, req, ws);
+        expect_engine_equal(*graph, r, scratch);
+        if (graph == &again) {
+          EXPECT_FALSE(r.resumed);
+        } else if (r.resumed) {
+          ++resumable_on_first_expansion;
+        }
+      }
+    }
     if (::testing::Test::HasFailure()) break;
   }
   // The chain must actually reuse shared prefixes, not degrade to
@@ -438,6 +471,9 @@ TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
   EXPECT_GT(resumed, 0u);
   EXPECT_GT(resumed_steps, 0u);
   EXPECT_GT(resumed_after_lock, 0u);
+  // The second expansion's from-scratch runs are not for lack of a
+  // resumable history.
+  EXPECT_GT(resumable_on_first_expansion, 0u);
 }
 
 // Property sweep: schedules of random CPGs satisfy all physical

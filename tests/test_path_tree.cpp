@@ -1,18 +1,15 @@
-// PathTree — the guard-trie view behind PathScheduling::kTree — and the
-// tree-mode driver. Adversarial trie shapes (diamond reconvergence,
-// maximum-depth condition chains, sibling conditions on distinct PEs, the
-// max_paths budget tripping mid-trie) are cross-checked leaf-for-leaf
-// against the PathEnumerator reference, and the tree driver's schedule
-// tables must be byte-identical to the retained path-list reference at 1,
-// 2, 4 and 8 threads.
+// The tree-mode driver (PathScheduling::kTree): each leaf of the guard
+// trie resumes from the previous leaf's checkpoints. On seeded CPGs and
+// adversarial trie shapes (diamond reconvergence, maximum-depth condition
+// chains, sibling conditions on distinct PEs, the max_paths budget
+// tripping mid-trie) its paths, schedules and tables must be
+// byte-identical to the retained path-list reference.
 #include <gtest/gtest.h>
 
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
-#include "models/fig1.hpp"
 #include "sched/driver.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -91,88 +88,6 @@ Cpg sibling_conditions_on_distinct_pes() {
   return b.build();
 }
 
-void expect_same_path(const AltPath& got, const AltPath& want,
-                      std::size_t index) {
-  EXPECT_EQ(got.label, want.label) << "leaf " << index;
-  EXPECT_EQ(got.active, want.active) << "leaf " << index;
-}
-
-// Draining the frontier's subtrees in order must reproduce the reference
-// enumeration leaf-for-leaf, for every frontier granularity.
-void expect_frontier_partitions_leaves(const Cpg& g) {
-  const std::vector<AltPath> reference = enumerate_paths(g);
-  const PathTree tree(g);
-  for (std::size_t min_nodes : {1u, 2u, 3u, 5u, 8u, 64u}) {
-    SCOPED_TRACE("min_nodes " + std::to_string(min_nodes));
-    const std::vector<PathTree::Node> nodes = tree.frontier(min_nodes);
-    ASSERT_FALSE(nodes.empty());
-    // Contexts partition the trie: pairwise incompatible, DFS order.
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-        EXPECT_FALSE(nodes[i].context.compatible(nodes[j].context))
-            << "frontier nodes " << i << " and " << j << " overlap";
-      }
-      EXPECT_EQ(nodes[i].leaf,
-                !tree.branch_condition(nodes[i].context).has_value());
-    }
-    std::size_t next = 0;
-    for (const PathTree::Node& node : nodes) {
-      PathEnumerator en = tree.leaves(node.context);
-      while (auto path = en.next()) {
-        ASSERT_LT(next, reference.size());
-        expect_same_path(*path, reference[next], next);
-        ++next;
-      }
-    }
-    EXPECT_EQ(next, reference.size());
-  }
-}
-
-TEST(PathTree, FrontierPartitionsFig1Leaves) {
-  expect_frontier_partitions_leaves(build_fig1_cpg());
-}
-
-TEST(PathTree, FrontierPartitionsDiamondReconvergence) {
-  expect_frontier_partitions_leaves(diamond_reconvergence());
-}
-
-TEST(PathTree, FrontierPartitionsMaximumDepthChain) {
-  expect_frontier_partitions_leaves(series_of_conditions(7));  // 128 leaves
-}
-
-TEST(PathTree, FrontierPartitionsSiblingConditionsOnDistinctPes) {
-  expect_frontier_partitions_leaves(sibling_conditions_on_distinct_pes());
-}
-
-TEST(PathTree, BranchConditionMatchesEnumeratorChoice) {
-  const Cpg g = diamond_reconvergence();
-  const PathTree tree(g);
-  // Root branches on the smallest-id active undecided condition: C.
-  const auto root = tree.branch_condition(Cube::top());
-  ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(*root, g.conditions().id_of("C"));
-  // Under !C, K's disjunction never runs: the node is a leaf.
-  const Cube not_c =
-      *Cube::top().conjoin(Literal{g.conditions().id_of("C"), false});
-  EXPECT_FALSE(tree.branch_condition(not_c).has_value());
-  // Under C, the trie branches again on K.
-  const Cube with_c =
-      *Cube::top().conjoin(Literal{g.conditions().id_of("C"), true});
-  const auto under_c = tree.branch_condition(with_c);
-  ASSERT_TRUE(under_c.has_value());
-  EXPECT_EQ(*under_c, g.conditions().id_of("K"));
-}
-
-TEST(PathTree, FrontierOfHugeTrieStaysShallow) {
-  // 2^20 leaves; carving out 16 subtrees must not walk the whole trie.
-  const Cpg g = series_of_conditions(20);
-  const PathTree tree(g);
-  const auto nodes = tree.frontier(16);
-  EXPECT_GE(nodes.size(), 16u);
-  EXPECT_LE(nodes.size(), 32u);
-  for (const auto& node : nodes) EXPECT_FALSE(node.leaf);
-}
-
 // ---------------------------------------------------------------------
 // Tree-mode driver vs the retained path-list reference.
 // ---------------------------------------------------------------------
@@ -200,7 +115,7 @@ void expect_identical_results(const CoSynthesisResult& a,
   EXPECT_EQ(a.delays.delta_max, b.delays.delta_max);
 }
 
-TEST(PathTreeDriver, TreeMatchesListOnSeededCpgsAtEveryThreadCount) {
+TEST(TreeWalk, TreeMatchesListOnSeededCpgs) {
   const std::size_t path_counts[] = {4, 8, 12, 24};
   std::size_t total_resumes = 0;
   for (std::uint64_t seed = 501; seed <= 540; ++seed) {
@@ -225,32 +140,21 @@ TEST(PathTreeDriver, TreeMatchesListOnSeededCpgsAtEveryThreadCount) {
     list.path_scheduling = PathScheduling::kList;
     const CoSynthesisResult reference = schedule_cpg(g, list);
 
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      CoSynthesisOptions tree;
-      tree.path_scheduling = PathScheduling::kTree;
-      tree.schedule_threads = threads;
-      const CoSynthesisResult result = schedule_cpg(g, tree);
-      expect_identical_results(result, reference);
-      EXPECT_EQ(reference.tree.prefix_resumes, 0u);
-      if (threads == 1) {
-        EXPECT_EQ(result.tree.subtrees_parallel, 0u);
-        total_resumes += result.tree.prefix_resumes;
-      } else if (result.tree.subtrees_parallel > 0) {
-        EXPECT_GE(result.tree.subtrees_parallel, 2u);
-      }
-    }
+    CoSynthesisOptions tree;
+    tree.path_scheduling = PathScheduling::kTree;
+    const CoSynthesisResult result = schedule_cpg(g, tree);
+    expect_identical_results(result, reference);
+    EXPECT_EQ(reference.tree.prefix_resumes, 0u);
+    total_resumes += result.tree.prefix_resumes;
     if (::testing::Test::HasFailure()) break;
   }
   // The whole point of the trie walk: shared prefixes actually resume.
   EXPECT_GT(total_resumes, 0u);
 }
 
-TEST(PathTreeDriver, DeepConditionNestResumesAlmostEveryLeaf) {
+TEST(TreeWalk, DeepConditionNestResumesAlmostEveryLeaf) {
   const Cpg g = series_of_conditions(6);  // 64 leaves
-  CoSynthesisOptions tree;
-  tree.schedule_threads = 1;
-  const CoSynthesisResult result = schedule_cpg(g, tree);
+  const CoSynthesisResult result = schedule_cpg(g);
   EXPECT_EQ(result.path_count, 64u);
   // Every leaf after the first shares a prefix with its predecessor; on
   // this chain-shaped model the checkpoints always reach back far enough.
@@ -262,71 +166,40 @@ TEST(PathTreeDriver, DeepConditionNestResumesAlmostEveryLeaf) {
   expect_identical_results(result, schedule_cpg(g, list));
 }
 
-TEST(PathTreeDriver, AdversarialShapesMatchListEndToEnd) {
+TEST(TreeWalk, AdversarialShapesMatchListEndToEnd) {
   for (const Cpg& g :
        {diamond_reconvergence(), sibling_conditions_on_distinct_pes()}) {
     CoSynthesisOptions list;
     list.path_scheduling = PathScheduling::kList;
-    const CoSynthesisResult reference = schedule_cpg(g, list);
-    for (std::size_t threads : {1u, 4u}) {
-      CoSynthesisOptions tree;
-      tree.schedule_threads = threads;
-      expect_identical_results(schedule_cpg(g, tree), reference);
-    }
+    expect_identical_results(schedule_cpg(g), schedule_cpg(g, list));
   }
 }
 
-TEST(PathTreeDriver, ExternalPoolSizesTheWalkAndMatchesList) {
-  const Cpg g = series_of_conditions(5);  // 32 leaves
-  CoSynthesisOptions list;
-  list.path_scheduling = PathScheduling::kList;
-  const CoSynthesisResult reference = schedule_cpg(g, list);
-  // An external pool replaces schedule_threads for sizing (workers + the
-  // participating caller), so the default schedule_threads == 1 must not
-  // silently force the serial walk.
-  ThreadPool pool(3);
-  CoSynthesisOptions tree;
-  tree.schedule_pool = &pool;
-  const CoSynthesisResult result = schedule_cpg(g, tree);
-  expect_identical_results(result, reference);
-  EXPECT_GE(result.tree.subtrees_parallel, 2u);
-}
-
-TEST(PathTreeDriver, RandomPriorityPolicyStaysSerialAndIdentical) {
+TEST(TreeWalk, RandomPriorityPolicyMatchesList) {
   // The per-path priority draws consume the flow RNG in enumeration
-  // order; tree mode must preserve that order (it forces the serial
-  // chain) even when parallel dispatch was requested.
+  // order; tree mode must preserve that order.
   const Cpg g = diamond_reconvergence();
   CoSynthesisOptions list;
   list.path_scheduling = PathScheduling::kList;
   list.path_priority = PriorityPolicy::kRandom;
   CoSynthesisOptions tree = list;
   tree.path_scheduling = PathScheduling::kTree;
-  tree.schedule_threads = 8;
-  const CoSynthesisResult a = schedule_cpg(g, list);
-  const CoSynthesisResult b = schedule_cpg(g, tree);
-  expect_identical_results(a, b);
-  EXPECT_EQ(b.tree.subtrees_parallel, 0u);
+  expect_identical_results(schedule_cpg(g, list), schedule_cpg(g, tree));
 }
 
-TEST(PathTreeDriver, MaxPathsBudgetTripsMidTrie) {
+TEST(TreeWalk, MaxPathsBudgetTripsMidTrie) {
   const Cpg g = series_of_conditions(12);  // 4096 leaves
-  for (std::size_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    CoSynthesisOptions options;
-    options.schedule_threads = threads;
-    options.max_paths = 64;
-    EXPECT_THROW(schedule_cpg(g, options), BudgetExceededError);
-  }
-  // A graph within the budget still co-synthesizes in every mode.
+  CoSynthesisOptions options;
+  options.max_paths = 64;
+  EXPECT_THROW(schedule_cpg(g, options), BudgetExceededError);
+  // A graph within the budget still co-synthesizes.
   const Cpg ok = series_of_conditions(3);
   CoSynthesisOptions within;
   within.max_paths = 8;
-  within.schedule_threads = 4;
   EXPECT_EQ(schedule_cpg(ok, within).path_count, 8u);
 }
 
-TEST(PathTreeDriver, KeepPathsOffDropsPayloadKeepsTable) {
+TEST(TreeWalk, KeepPathsOffDropsPayloadKeepsTable) {
   const Cpg g = diamond_reconvergence();
   CoSynthesisOptions keep;
   const CoSynthesisResult with_paths = schedule_cpg(g, keep);

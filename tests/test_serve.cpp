@@ -530,6 +530,23 @@ TEST(Serve, StatsOpReportsCacheAndPoolCounters) {
   EXPECT_GE(doc.at("server").at("admitted").as_number(), 2.0);
   EXPECT_GE(doc.at("workspace_pool").at("leases").as_number(), 1.0);
   EXPECT_GE(doc.at("runtime").at("executed").as_number(), 0.0);
+
+  // perfbench/src/serve.cpp reads these fields through JsonValue::at,
+  // which throws on a missing member: each must be present as a number.
+  const auto expect_number = [&doc](const char* block, const char* field) {
+    SCOPED_TRACE(std::string(block) + "." + field);
+    const JsonValue* value = doc.at(block).find(field);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value->kind(), JsonValue::Kind::kNumber);
+  };
+  for (const char* field : {"hits", "misses", "prefix_hits", "prefix_misses"}) {
+    expect_number("cache", field);
+  }
+  expect_number("workspace_pool", "leases");
+  expect_number("workspace_pool", "warm_hits");
+  // There is no prefix tier: both of its counters read 0.
+  EXPECT_EQ(doc.at("cache").at("prefix_hits").as_number(), 0.0);
+  EXPECT_EQ(doc.at("cache").at("prefix_misses").as_number(), 0.0);
 }
 
 // A replayed response is the same bytes as the computed one — the cache

@@ -602,7 +602,7 @@ TEST(ThreadPool, StatsDeltaSinceIsolatesACallWindow) {
   pool.wait_idle();
   const PoolStats before = pool.stats();
   std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ++ran; }, TaskPriority::kLow);
+  pool.parallel_for(8, [&](std::size_t) { ++ran; });
   pool.wait_idle();
   const PoolStats delta = pool.stats().delta_since(before);
   EXPECT_EQ(ran.load(), 8);
