@@ -11,7 +11,9 @@
 // `--verify` retains every response and checks the determinism contract:
 // each response that carries an item body must be byte-identical to
 // make_item_response(id, run_batch_item(workload, id)) — the offline
-// oracle. Shed/expired responses are timing-dependent *selections* (the
+// oracle. It also asks for the table CSV on every odd id; those
+// responses must carry exactly the CSV of run_batch_item's csv
+// out-param. Shed/expired responses are timing-dependent *selections* (the
 // text is typed, but which request drew it depends on load), so they are
 // tallied, not compared.
 #include <unistd.h>
@@ -102,7 +104,8 @@ int main(int argc, char** argv) try {
   cli.add_bool("tolerate-drain", "treat dropped connections as expected "
                                  "(mid-stream SIGTERM smoke)");
   cli.add_bool("verify", "compare every item-bearing response against the "
-                         "run_batch_item oracle, byte for byte");
+                         "run_batch_item oracle, byte for byte (odd ids "
+                         "ask for the table CSV)");
   cli.add_flag("json-out", "", "write results as JSON to FILE (- = stdout)");
   cli.add_flag("repeat-frac", "0",
                "fraction of requests re-issuing an earlier index (zipf-ish "
@@ -198,9 +201,13 @@ int main(int argc, char** argv) try {
       const std::uint64_t ordinal = id - load.first_id;
       const std::uint64_t index =
           ordinal < plan.size() ? plan[ordinal] : id;
+      const bool csv_requested = load.keep_payloads && id % 2 == 1;
+      std::string csv;
       const BatchItem item =
-          run_batch_item(workload, static_cast<std::size_t>(index), nullptr);
-      const std::string expected = make_item_response(id, item, nullptr);
+          run_batch_item(workload, static_cast<std::size_t>(index), nullptr,
+                         nullptr, csv_requested ? &csv : nullptr);
+      const std::string expected = make_item_response(
+          id, item, csv_requested && item.ok ? &csv : nullptr);
       if (payload == expected) {
         ++verified;
       } else {

@@ -194,15 +194,8 @@ bool operator<(const Cube& a, const Cube& b) {
 
 std::string Cube::to_string(
     const std::function<std::string(CondId)>& name) const {
-  if (is_true()) return "true";
   std::string out;
-  bool first = true;
-  for_each([&](Literal l) {
-    if (!first) out += " & ";
-    first = false;
-    if (!l.value) out += '!';
-    out += name(l.cond);
-  });
+  append_to(out, name);
   return out;
 }
 

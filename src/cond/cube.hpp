@@ -125,6 +125,23 @@ class Cube {
   /// the empty cube.
   std::string to_string(
       const std::function<std::string(CondId)>& name) const;
+  /// Append to_string(name)'s rendering to `out`. `name(c)` may return
+  /// anything a std::string can append, e.g. a reference to a
+  /// pre-rendered name.
+  template <typename NameFn>
+  void append_to(std::string& out, NameFn&& name) const {
+    if (is_true()) {
+      out += "true";
+      return;
+    }
+    const char* sep = "";
+    for_each([&](Literal l) {
+      out += sep;
+      sep = " & ";
+      if (!l.value) out += '!';
+      out += name(l.cond);
+    });
+  }
   /// Render with bare numeric ids ("c0 & !c3").
   std::string to_string() const;
 

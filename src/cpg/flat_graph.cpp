@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "graph/dag_algo.hpp"
 #include "support/error.hpp"
 
 namespace cps {
@@ -123,7 +124,39 @@ FlatGraph FlatGraph::expand(const Cpg& g) {
   }
 
   fg.compute_guard_info();
+  fg.compute_flat_views();
   return fg;
+}
+
+void FlatGraph::compute_flat_views() {
+  auto order = topological_order(deps_);
+  CPS_ASSERT(order.has_value(), "task dependency graph must be a DAG");
+  topo_order_ = std::move(*order);
+
+  const std::size_t n = tasks_.size();
+  adj_.clear();
+  adj_.reserve(2 * deps_.edge_count());
+  succ_begin_.resize(n + 1);
+  pred_begin_.resize(n + 1);
+  for (TaskId t = 0; t < n; ++t) {
+    succ_begin_[t] = static_cast<std::uint32_t>(adj_.size());
+    for (EdgeId e : deps_.out_edges(t)) adj_.push_back(deps_.edge(e).dst);
+  }
+  succ_begin_[n] = static_cast<std::uint32_t>(adj_.size());
+  for (TaskId t = 0; t < n; ++t) {
+    pred_begin_[t] = static_cast<std::uint32_t>(adj_.size());
+    for (EdgeId e : deps_.in_edges(t)) adj_.push_back(deps_.edge(e).src);
+  }
+  pred_begin_[n] = static_cast<std::uint32_t>(adj_.size());
+
+  duration_.resize(n);
+  resource_.resize(n);
+  broadcast_.resize(n);
+  for (const Task& task : tasks_) {
+    duration_[task.id] = task.duration;
+    resource_[task.id] = task.resource;
+    broadcast_[task.id] = task.is_broadcast() ? 1 : 0;
+  }
 }
 
 void FlatGraph::compute_guard_info() {

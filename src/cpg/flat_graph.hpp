@@ -107,6 +107,17 @@ struct TaskGuardInfo {
   std::vector<TaskId> guarded_preds;
 };
 
+/// Contiguous run of task ids: a successor or predecessor list of the
+/// flat per-task views (see FlatGraph::succs).
+struct TaskRange {
+  const TaskId* first = nullptr;
+  const TaskId* last = nullptr;
+
+  const TaskId* begin() const { return first; }
+  const TaskId* end() const { return last; }
+  std::size_t size() const { return static_cast<std::size_t>(last - first); }
+};
+
 class FlatGraph {
  public:
   /// Expand a CPG. The Cpg must outlive the FlatGraph.
@@ -121,6 +132,33 @@ class FlatGraph {
 
   /// Dependency DAG over tasks.
   const Digraph& deps() const { return deps_; }
+
+  /// Topological order of deps(), computed once at expand time.
+  const std::vector<TaskId>& topo_order() const { return topo_order_; }
+
+  // Flat per-task views of deps() and task() for the engine's hot loops:
+  // task ids instead of edge ids, and single fields instead of the wide
+  // Task. Successors and predecessors keep deps()' edge insertion order.
+  TaskRange succs(TaskId t) const {
+    check_task(t);
+    return {adj_.data() + succ_begin_[t], adj_.data() + succ_begin_[t + 1]};
+  }
+  TaskRange preds(TaskId t) const {
+    check_task(t);
+    return {adj_.data() + pred_begin_[t], adj_.data() + pred_begin_[t + 1]};
+  }
+  Time duration(TaskId t) const {
+    check_task(t);
+    return duration_[t];
+  }
+  PeId resource(TaskId t) const {
+    check_task(t);
+    return resource_[t];
+  }
+  bool is_broadcast(TaskId t) const {
+    check_task(t);
+    return broadcast_[t] != 0;
+  }
 
   TaskId task_of_process(ProcessId p) const;
   /// Broadcast task of a condition; nullopt when broadcasts are disabled
@@ -163,6 +201,10 @@ class FlatGraph {
 
  private:
   void compute_guard_info();
+  void compute_flat_views();
+  void check_task(TaskId t) const {
+    CPS_REQUIRE(t < tasks_.size(), "task id out of range");
+  }
 
   const Cpg* cpg_ = nullptr;
   std::vector<Task> tasks_;
@@ -172,6 +214,16 @@ class FlatGraph {
   std::vector<PeId> used_resources_;
   std::vector<PeId> bcast_buses_;
   std::vector<TaskGuardInfo> guard_info_;  // by TaskId
+  std::vector<TaskId> topo_order_;
+  // Flat views: adj_ holds every task's successors, then every task's
+  // predecessors; succ_begin_/pred_begin_ (task_count + 1 entries each)
+  // index into it.
+  std::vector<TaskId> adj_;
+  std::vector<std::uint32_t> succ_begin_;
+  std::vector<std::uint32_t> pred_begin_;
+  std::vector<Time> duration_;    // by TaskId
+  std::vector<PeId> resource_;    // by TaskId
+  std::vector<char> broadcast_;   // by TaskId
   bool masks_enabled_ = false;
   std::uint64_t uid_ = 0;
 };

@@ -184,7 +184,7 @@ struct EngineHistory {
   std::uint64_t graph_uid = 0;
   std::size_t task_count = 0;
   Cube label;
-  std::vector<bool> active;
+  std::vector<char> active;
   std::vector<std::int64_t> priority;
   bool enforce_knowledge = true;
 
@@ -241,30 +241,31 @@ struct EngineWorkspace {
   CoverCache private_cache;
 
   // Request snapshot (engine-owned copies; assignment reuses capacity).
+  // The active set is held as byte flags plus the list of active tasks.
   Cube label;
-  std::vector<bool> active;
+  std::vector<char> active;
+  std::vector<TaskId> active_list;
   std::vector<std::int64_t> priority;
   std::vector<std::optional<TaskLock>> locks;
-  bool enforce_knowledge = true;
-  ReadySelection selection = ReadySelection::kHeap;
 
   // Scheduling state.
   PathSchedule sched;
   std::vector<std::size_t> pending;
   std::vector<Time> dep_ready;
-  std::vector<bool> started;
-  std::vector<bool> finished;
+  std::vector<char> started;
+  std::vector<char> finished;
   std::vector<Time> busy_until;
   std::vector<TaskId> running;
   std::vector<std::vector<Time>> known;
   std::vector<char> seq;
-  std::size_t remaining = 0;
-  bool use_masks = false;
 
   // Heap-mode state.
   std::vector<std::uint64_t> known_pos;
   std::vector<std::uint64_t> known_neg;
   std::vector<ReadyHeap> ready;
+  /// Sequential resources to visit in the next step-3 pass, as a bitset
+  /// over PeId (64 resources per word).
+  std::vector<std::uint64_t> dirty;
   std::vector<TaskId> hw_ready;
   std::vector<TaskId> bcast_pending;
   /// Lock reservations as events: the active locked tasks sorted by

@@ -32,6 +32,7 @@ class Engine {
         ws_(ws),
         label_(ws.label),
         active_(ws.active),
+        active_list_(ws.active_list),
         priority_(ws.priority),
         locks_(ws.locks),
         sched_(ws.sched),
@@ -46,6 +47,7 @@ class Engine {
         known_pos_(ws.known_pos),
         known_neg_(ws.known_neg),
         ready_(ws.ready),
+        dirty_(ws.dirty),
         hw_ready_(ws.hw_ready),
         bcast_pending_(ws.bcast_pending),
         lock_order_(ws.lock_order),
@@ -60,7 +62,7 @@ class Engine {
   bool heap_mode() const {
     return req_.selection == ReadySelection::kHeap;
   }
-  bool active(TaskId t) const { return active_[t]; }
+  bool active(TaskId t) const { return active_[t] != 0; }
   bool locked(TaskId t) const {
     return !locks_.empty() && locks_[t].has_value();
   }
@@ -94,6 +96,10 @@ class Engine {
 
   bool fits_fast(PeId res, Time now, Time dur) const;
   void enqueue_ready(TaskId t);
+  /// Queue `res` for the next step-3 visit (sequential resources only).
+  void mark_dirty(PeId res) {
+    if (seq_[res]) dirty_[res >> 6] |= std::uint64_t{1} << (res & 63);
+  }
   bool try_starts_heap(Time now);
   /// Sort the active locks by (start, id) into lock_order_ and the
   /// per-resource lists, and reset their cursors.
@@ -147,15 +153,16 @@ class Engine {
   // borrowed by reference or moved in) costs ~3x in per-path scheduling
   // time. The workspace keeps the snapshot capacity warm across runs.
   Cube& label_;
-  std::vector<bool>& active_;
+  std::vector<char>& active_;
+  std::vector<TaskId>& active_list_;  // active tasks in id order
   std::vector<std::int64_t>& priority_;
   std::vector<std::optional<TaskLock>>& locks_;
 
   PathSchedule& sched_;
   std::vector<std::size_t>& pending_;   // unfinished active preds
   std::vector<Time>& dep_ready_;        // max end over finished preds
-  std::vector<bool>& started_;
-  std::vector<bool>& finished_;
+  std::vector<char>& started_;
+  std::vector<char>& finished_;
   // Sequential resource occupancy: end time of the running task (or -1).
   std::vector<Time>& busy_until_;
   // Running tasks (for event extraction and completion processing).
@@ -179,6 +186,15 @@ class Engine {
   std::vector<std::uint64_t>& known_pos_;  // by PeId
   std::vector<std::uint64_t>& known_neg_;  // by PeId
   std::vector<ReadyHeap>& ready_;          // by PeId (sequential only)
+  // Sequential resources to visit in the next step-3 pass (bitset over
+  // PeId). A resource is marked when it is freed (a task on it
+  // completes), given a ready task, or taught a condition: the only
+  // events that can turn a failed visit into a start. Starting a lock
+  // needs no mark of its own: the lock keeps its resource busy, and its
+  // completion frees it. Every other visit of a full scan finds the same
+  // busy resource, empty heap, or blocked candidates as the resource's
+  // last visit, so skipping it changes nothing.
+  std::vector<std::uint64_t>& dirty_;
   std::vector<TaskId>& hw_ready_;          // dep-ready hardware tasks
   std::vector<TaskId>& bcast_pending_;     // unstarted broadcast tasks
   // Lock reservations as events: the active locked tasks sorted by
@@ -444,8 +460,8 @@ void Engine::init_lock_order() {
   lock_res_next_.assign(fg_.arch().pe_count(), 0);
   lock_next_ = 0;
   if (locks_.empty()) return;
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (active(t) && locked(t)) lock_order_.push_back(t);
+  for (TaskId t : active_list_) {
+    if (locked(t)) lock_order_.push_back(t);
   }
   // Same-start locks keep id order: step 1 starts them in that order and
   // the lowest-id miss is the reported offending lock.
@@ -462,10 +478,11 @@ void Engine::enqueue_ready(TaskId t) {
   // initialization for predecessor-free tasks). Locked tasks start via
   // their reservation, broadcast tasks via the pending list.
   if (!active(t) || started_[t] || locked(t)) return;
-  const Task& task = fg_.task(t);
-  if (task.is_broadcast()) return;
-  if (seq_[task.resource]) {
-    ready_[task.resource].push(ReadyEntry{priority_[t], t});
+  if (fg_.is_broadcast(t)) return;
+  const PeId res = fg_.resource(t);
+  if (seq_[res]) {
+    ready_[res].push(ReadyEntry{priority_[t], t});
+    mark_dirty(res);
   } else {
     hw_ready_.push_back(t);
   }
@@ -499,10 +516,10 @@ bool Engine::try_starts_heap(Time now) {
         still.push_back(t);
         continue;
       }
-      const Task& task = fg_.task(t);
+      const Time dur = fg_.duration(t);
       for (PeId bus : fg_.broadcast_buses()) {
         if (busy_until_[bus] > now) continue;
-        if (!fits_fast(bus, now, task.duration)) continue;
+        if (!fits_fast(bus, now, dur)) continue;
         if (!knowledge_ok_fast(t, bus)) continue;
         start_task(t, now, bus);
         any = true;
@@ -513,31 +530,40 @@ bool Engine::try_starts_heap(Time now) {
     bcast_pending_.swap(still);
   }
 
-  // 3. Sequential resources: pop the per-resource ready heap in priority
-  //    order; candidates blocked by a lock window or missing condition
-  //    knowledge are parked and re-armed after the next successful start
-  //    (a zero-duration chain may have changed the knowledge state).
+  // 3. Sequential resources marked dirty (see dirty_), in PeId order as
+  //    a scan of used_resources() would visit them: a resource dirtied
+  //    mid-pass above the cursor is visited in this pass, one at or below
+  //    it in the next. A visit pops the ready heap in priority order;
+  //    candidates blocked by a lock window or missing condition knowledge
+  //    are parked and re-armed after the next successful start (a
+  //    zero-duration chain may have changed the knowledge state).
   std::vector<ReadyEntry>& deferred = ws_.scratch_deferred;
-  for (PeId res : fg_.used_resources()) {
-    if (!seq_[res]) continue;
-    ReadyHeap& heap = ready_[res];
-    deferred.clear();
-    while (busy_until_[res] <= now && !heap.empty()) {
-      const ReadyEntry entry = heap.top();
-      heap.pop();
-      const TaskId t = entry.id;
-      if (started_[t]) continue;  // stale entry
-      if (!fits_fast(res, now, fg_.task(t).duration) ||
-          !knowledge_ok_fast(t, res)) {
-        deferred.push_back(entry);
-        continue;
-      }
-      start_task(t, now, res);
-      any = true;
-      for (const ReadyEntry& d : deferred) heap.push(d);
+  for (std::size_t w = 0; w < dirty_.size(); ++w) {
+    std::uint64_t ahead = ~std::uint64_t{0};
+    while (const std::uint64_t bits = dirty_[w] & ahead) {
+      const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+      dirty_[w] &= ~(std::uint64_t{1} << b);
+      ahead = b == 63 ? 0 : ~std::uint64_t{0} << (b + 1);
+      const PeId res = static_cast<PeId>(w * 64 + b);
+      ReadyHeap& heap = ready_[res];
       deferred.clear();
+      while (busy_until_[res] <= now && !heap.empty()) {
+        const ReadyEntry entry = heap.top();
+        heap.pop();
+        const TaskId t = entry.id;
+        if (started_[t]) continue;  // stale entry
+        if (!fits_fast(res, now, fg_.duration(t)) ||
+            !knowledge_ok_fast(t, res)) {
+          deferred.push_back(entry);
+          continue;
+        }
+        start_task(t, now, res);
+        any = true;
+        for (const ReadyEntry& d : deferred) heap.push(d);
+        deferred.clear();
+      }
+      for (const ReadyEntry& d : deferred) heap.push(d);
     }
-    for (const ReadyEntry& d : deferred) heap.push(d);
   }
 
   // 4. Hardware resources run everything that is ready (the queue may grow
@@ -547,7 +573,7 @@ bool Engine::try_starts_heap(Time now) {
   for (std::size_t i = 0; i < hw_ready_.size(); ++i) {
     const TaskId t = hw_ready_[i];
     if (started_[t]) continue;
-    const PeId res = fg_.task(t).resource;
+    const PeId res = fg_.resource(t);
     if (!knowledge_ok_fast(t, res)) {
       hw_still.push_back(t);
       continue;
@@ -642,8 +668,8 @@ Time Engine::guard_divergence_limit(const EngineHistory& h) const {
       //     Only sequential-resource non-broadcast tasks ever consult
       //     their priority: hardware tasks start whenever ready and
       //     broadcasts go by task-id order on the first free bus.
-      if (h.priority[t] != priority_[t] && !fg_.task(t).is_broadcast() &&
-          seq_[fg_.task(t).resource]) {
+      if (h.priority[t] != priority_[t] && !fg_.is_broadcast(t) &&
+          seq_[fg_.resource(t)]) {
         limit = std::min(limit, h.act[t]);
       }
     } else if (h.active[t] != active_[t]) {
@@ -651,8 +677,7 @@ Time Engine::guard_divergence_limit(const EngineHistory& h) const {
       // knowledge-gated on this differing predecessor. Validated CPGs
       // cannot produce one (see the argument above) — refuse to resume
       // rather than risk a silent divergence on a hand-built model.
-      for (EdgeId e : fg_.deps().out_edges(t)) {
-        const TaskId succ = fg_.deps().edge(e).dst;
+      for (TaskId succ : fg_.succs(t)) {
         if (h.active[succ] && active_[succ] &&
             !fg_.guard_info(succ).conjunction) {
           return 0;
@@ -675,14 +700,14 @@ void Engine::restore_checkpoint(const EngineHistory& h,
   for (std::size_t i = 0; i < ck.log_pos; ++i) {
     const StartEvent& e = h.log[i];
     const Task& task = fg_.task(e.task);
-    started_[e.task] = true;
+    started_[e.task] = 1;
     sched_.place(e.task, e.start, e.end, e.resource);
     if (e.end > ck.now) {
       running_.push_back(e.task);  // log order = start order = natural
       if (seq_[e.resource]) busy_until_[e.resource] = e.end;
       continue;
     }
-    finished_[e.task] = true;
+    finished_[e.task] = 1;
     if (e.end > e.start && seq_[e.resource]) {
       busy_until_[e.resource] = e.end;
     }
@@ -711,16 +736,13 @@ void Engine::restore_checkpoint(const EngineHistory& h,
   // set, schedule), heap contents are the ready unstarted tasks, and heap
   // pop order is a total order on (priority, id), making insertion order
   // irrelevant.
-  const std::size_t n = fg_.task_count();
   remaining_ = 0;
-  for (TaskId t = 0; t < n; ++t) {
-    if (!active(t)) continue;
+  for (TaskId t : active_list_) {
     if (!finished_[t]) ++remaining_;
     bool has_pred = false;
     Time last_done = 0;
     std::size_t open = 0;
-    for (EdgeId e : fg_.deps().in_edges(t)) {
-      const TaskId pred = fg_.deps().edge(e).src;
+    for (TaskId pred : fg_.preds(t)) {
       if (!active(pred)) continue;
       has_pred = true;
       if (finished_[pred]) {
@@ -734,18 +756,20 @@ void Engine::restore_checkpoint(const EngineHistory& h,
     act_[t] = open == 0 ? (has_pred ? last_done : 0) : kInf;
   }
   // Ready structures, in task-id order exactly like the from-scratch
-  // initialization (a resuming request carries no locks).
+  // initialization (a resuming request carries no locks). Every
+  // sequential resource is dirty: a superset of the marks a from-scratch
+  // run holds here is safe (an extra visit is one a full scan makes).
   bcast_pending_.clear();
   hw_ready_.clear();
   ready_.assign(fg_.arch().pe_count(), ReadyHeap());
-  for (TaskId t = 0; t < n; ++t) {
-    if (!active(t)) continue;
-    if (fg_.task(t).is_broadcast()) {
+  for (TaskId t : active_list_) {
+    if (fg_.is_broadcast(t)) {
       if (!started_[t]) bcast_pending_.push_back(t);
       continue;
     }
     if (!started_[t] && pending_[t] == 0) enqueue_ready(t);
   }
+  for (PeId r = 0; r < fg_.arch().pe_count(); ++r) mark_dirty(r);
 }
 
 void Engine::maybe_record(Time now, std::size_t steps) {
@@ -786,8 +810,8 @@ void Engine::finalize_history(bool feasible) {
 // Shared machinery.
 
 void Engine::start_task(TaskId t, Time now, PeId res) {
-  const Time dur = fg_.task(t).duration;
-  started_[t] = true;
+  const Time dur = fg_.duration(t);
+  started_[t] = 1;
   sched_.place(t, now, now + dur, res);
   if (heap_mode() && locked(t)) {
     // Keep the resource's cursor on its earliest unstarted lock.
@@ -813,6 +837,7 @@ void Engine::start_task(TaskId t, Time now, PeId res) {
 // otherwise the time matrix drives the known_context fallbacks.
 void Engine::learn(PeId res, CondId c, Time when) {
   if (recording_ && cond_known_[c] > when) cond_known_[c] = when;
+  mark_dirty(res);
   if (use_masks_) {
     if (const auto value = label_.value_of(c)) {
       (*value ? known_pos_ : known_neg_)[res] |= std::uint64_t{1} << c;
@@ -823,13 +848,14 @@ void Engine::learn(PeId res, CondId c, Time when) {
 }
 
 void Engine::complete_task(TaskId t, Time now) {
-  finished_[t] = true;
+  finished_[t] = 1;
   CPS_ASSERT(remaining_ > 0, "completion bookkeeping underflow");
   --remaining_;
   const Task& task = fg_.task(t);
+  const PeId res = sched_.slot(t).resource;
+  mark_dirty(res);  // freed
   const bool heap = heap_mode();
-  for (EdgeId e : fg_.deps().out_edges(t)) {
-    const TaskId succ = fg_.deps().edge(e).dst;
+  for (TaskId succ : fg_.succs(t)) {
     if (!active(succ)) continue;
     CPS_ASSERT(pending_[succ] > 0, "predecessor bookkeeping underflow");
     --pending_[succ];
@@ -841,7 +867,6 @@ void Engine::complete_task(TaskId t, Time now) {
   }
   if (task.computes) {
     const CondId c = *task.computes;
-    const PeId res = sched_.slot(t).resource;
     learn(res, c, now);
     if (!fg_.broadcasts_enabled()) {
       // Single-resource models: the value is immediately visible (there is
@@ -932,9 +957,18 @@ EngineResult Engine::run() {
   // assignments; see the member comment for why the hot loops must not
   // touch caller storage).
   label_ = req_.label;
-  active_ = req_.active;
   priority_ = req_.priority;
   locks_ = req_.locks;
+  // The active set as byte flags plus the active list, from one walk of
+  // the request's vector<bool>; the rest of the initialization walks the
+  // list.
+  active_.resize(n);
+  active_list_.clear();
+  for (TaskId t = 0; t < n; ++t) {
+    const bool on = req_.active[t];
+    active_[t] = on ? 1 : 0;
+    if (on) active_list_.push_back(t);
+  }
   cache_ = req_.cover_cache ? req_.cover_cache : &ws_.private_cache;
 
   // Checkpoint resume: only the heap engine records/resumes (the
@@ -950,13 +984,14 @@ EngineResult Engine::run() {
   sched_.reset(n);
   pending_.assign(n, 0);
   dep_ready_.assign(n, 0);
-  started_.assign(n, false);
-  finished_.assign(n, false);
+  started_.assign(n, 0);
+  finished_.assign(n, 0);
   busy_until_.assign(fg_.arch().pe_count(), -1);
   seq_.resize(fg_.arch().pe_count());
   for (PeId r = 0; r < fg_.arch().pe_count(); ++r) {
     seq_[r] = fg_.arch().pe(r).sequential() ? 1 : 0;
   }
+  dirty_.assign((fg_.arch().pe_count() + 63) / 64, 0);
   use_masks_ = heap_mode() && fg_.masks_enabled();
   if (!use_masks_) {
     known_.assign(fg_.arch().pe_count(),
@@ -964,20 +999,16 @@ EngineResult Engine::run() {
   }
   running_.clear();
   act_.assign(n, kInf);
-  remaining_ = 0;
-  for (TaskId t = 0; t < n; ++t) {
-    if (!active(t)) continue;
+  remaining_ = active_list_.size();
+  for (TaskId t : active_list_) {
     // Reservations come from table cells, which are non-negative; the
     // clock starts at 0, so a negative one could never be honored.
     CPS_REQUIRE(!locked(t) || lock(t).start >= 0,
                 "lock reservations are non-negative");
-    ++remaining_;
-    for (EdgeId e : fg_.deps().in_edges(t)) {
-      if (active(fg_.deps().edge(e).src)) ++pending_[t];
-    }
-  }
-  for (TaskId t = 0; t < n; ++t) {
-    if (active(t) && pending_[t] == 0) act_[t] = 0;
+    std::size_t open = 0;
+    for (TaskId pred : fg_.preds(t)) open += active_[pred];
+    pending_[t] = open;
+    if (open == 0) act_[t] = 0;
   }
 
   if (heap_mode()) {
@@ -987,9 +1018,9 @@ EngineResult Engine::run() {
     init_lock_order();
     bcast_pending_.clear();
     hw_ready_.clear();
-    for (TaskId t = 0; t < n; ++t) {
-      if (!active(t) || locked(t)) continue;
-      if (fg_.task(t).is_broadcast()) {
+    for (TaskId t : active_list_) {
+      if (locked(t)) continue;
+      if (fg_.is_broadcast(t)) {
         bcast_pending_.push_back(t);
         continue;
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/dag_algo.hpp"
 #include "support/error.hpp"
 
 namespace cps {
@@ -25,17 +24,15 @@ std::vector<std::int64_t> compute_priorities(const FlatGraph& fg,
   std::vector<std::int64_t> prio(n, 0);
   switch (policy) {
     case PriorityPolicy::kCriticalPath: {
-      auto order = topological_order(fg.deps());
-      CPS_ASSERT(order.has_value(), "task dependency graph must be a DAG");
-      for (auto it = order->rbegin(); it != order->rend(); ++it) {
+      const std::vector<TaskId>& order = fg.topo_order();
+      for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const TaskId v = *it;
         if (!active[v]) continue;
         std::int64_t best = 0;
-        for (EdgeId e : fg.deps().out_edges(v)) {
-          const TaskId w = fg.deps().edge(e).dst;
+        for (TaskId w : fg.succs(v)) {
           if (active[w]) best = std::max(best, prio[w]);
         }
-        prio[v] = best + fg.task(v).duration;
+        prio[v] = best + fg.duration(v);
       }
       break;
     }

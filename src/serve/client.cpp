@@ -47,19 +47,20 @@ std::optional<std::string> ServeClient::recv() {
 
 bool ServeClient::send_run(std::uint64_t id,
                            std::optional<std::uint64_t> index,
-                           double deadline_ms) {
-  return send(make_run_request(id, index, deadline_ms));
+                           double deadline_ms, bool csv) {
+  return send(make_run_request(id, index, deadline_ms, csv));
 }
 
 std::string make_run_request(std::uint64_t id,
                              std::optional<std::uint64_t> index,
-                             double deadline_ms) {
+                             double deadline_ms, bool csv) {
   JsonWriter w(0);
   w.begin_object();
   w.field("id", id);
   w.field("op", "run");
   if (index.has_value()) w.field("index", *index);
   if (deadline_ms > 0.0) w.field("deadline_ms", deadline_ms);
+  if (csv) w.field("csv", true);
   w.end_object();
   return w.str();
 }

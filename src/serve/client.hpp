@@ -35,11 +35,11 @@ class ServeClient {
   std::optional<std::string> recv();
 
   /// send() a "run" request built from the parts. Convenience for tests
-  /// and the load generator; callers needing csv/max_steps build their
-  /// own JSON.
+  /// and the load generator; callers needing max_steps build their own
+  /// JSON.
   bool send_run(std::uint64_t id, std::optional<std::uint64_t> index =
                                       std::nullopt,
-                double deadline_ms = 0.0);
+                double deadline_ms = 0.0, bool csv = false);
 
   bool connected() const { return fd_.valid(); }
 
@@ -52,6 +52,6 @@ class ServeClient {
 /// load generator's open-loop writer).
 std::string make_run_request(std::uint64_t id,
                              std::optional<std::uint64_t> index,
-                             double deadline_ms);
+                             double deadline_ms, bool csv = false);
 
 }  // namespace cps

@@ -128,6 +128,9 @@ LoadGenResult run_loadgen(const LoadGenConfig& config) {
     return planned ? std::optional<std::uint64_t>(plan.index[ordinal])
                    : std::nullopt;
   };
+  const auto wants_csv = [&](std::uint64_t id) {
+    return config.keep_payloads && id % 2 == 1;
+  };
   const auto record_latency = [&](ThreadTally& tally, std::size_t ordinal,
                                   double ms) {
     tally.latencies_ms.push_back(ms);
@@ -151,7 +154,8 @@ LoadGenResult run_loadgen(const LoadGenConfig& config) {
         const std::size_t ordinal = next_ordinal.fetch_add(1);
         if (ordinal >= config.requests) return;
         const std::uint64_t id = config.first_id + ordinal;
-        if (!client.send_run(id, index_of(ordinal), config.deadline_ms)) {
+        if (!client.send_run(id, index_of(ordinal), config.deadline_ms,
+                             wants_csv(id))) {
           ++tally.counts.disconnected;
           return;
         }
@@ -218,7 +222,8 @@ LoadGenResult run_loadgen(const LoadGenConfig& config) {
         if (!client.connected()) break;
         const std::uint64_t id = config.first_id + ordinal;
         sent_at[id] = clock_type::now();
-        if (!client.send_run(id, index_of(ordinal), config.deadline_ms)) {
+        if (!client.send_run(id, index_of(ordinal), config.deadline_ms,
+                             wants_csv(id))) {
           break;
         }
         ++tally.counts.sent;

@@ -39,7 +39,9 @@ struct LoadGenConfig {
   /// to the id server-side, so ids choose workload items.
   std::uint64_t first_id = 0;
   /// Retain each response payload (for sorting by id and comparing to
-  /// the run_batch oracle).
+  /// the run_batch oracle). Also asks for the schedule-table CSV
+  /// ("csv": true) on every odd request id, so a verifying run covers
+  /// both response shapes.
   bool keep_payloads = false;
   /// Per-recv timeout; expiring counts the remaining requests as lost.
   double recv_timeout_s = 120.0;

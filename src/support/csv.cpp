@@ -1,28 +1,42 @@
 #include "support/csv.hpp"
 
+#include <algorithm>
+
 #include "support/strings.hpp"
 
 namespace cps {
 
-std::string CsvWriter::escape(const std::string& field) {
-  const bool needs_quote =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quote) return field;
-  std::string out = "\"";
+bool csv_needs_quotes(std::string_view field) {
+  return std::any_of(field.begin(), field.end(), [](char c) {
+    return c == ',' || c == '"' || c == '\n' || c == '\r';
+  });
+}
+
+void append_csv_doubled(std::string& out, std::string_view field) {
   for (char c : field) {
     if (c == '"') out += '"';
     out += c;
   }
+}
+
+void append_csv_field(std::string& out, std::string_view field) {
+  if (!csv_needs_quotes(field)) {
+    out += field;
+    return;
+  }
   out += '"';
-  return out;
+  append_csv_doubled(out, field);
+  out += '"';
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
+  std::string line;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) os_ << ',';
-    os_ << escape(fields[i]);
+    if (i > 0) line += ',';
+    append_csv_field(line, fields[i]);
   }
-  os_ << '\n';
+  line += '\n';
+  os_ << line;
 }
 
 CsvWriter& CsvWriter::cell(const std::string& value) {

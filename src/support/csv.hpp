@@ -4,9 +4,19 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cps {
+
+// RFC 4180 quoting, the rule CsvWriter applies to every field: a field is
+// quoted iff it holds a comma, quote, CR or LF, and quotes inside a quoted
+// field are doubled.
+bool csv_needs_quotes(std::string_view field);
+/// Append `field` with its quotes doubled (the inside of a quoted field).
+void append_csv_doubled(std::string& out, std::string_view field);
+/// Append `field` to `out` as one cell, quoted iff csv_needs_quotes.
+void append_csv_field(std::string& out, std::string_view field);
 
 /// Streams rows of a CSV file, quoting fields only when needed.
 class CsvWriter {
@@ -23,8 +33,6 @@ class CsvWriter {
   void end_row();
 
  private:
-  static std::string escape(const std::string& field);
-
   std::ostream& os_;
   std::vector<std::string> pending_;
 };

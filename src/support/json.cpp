@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <string_view>
 #include <system_error>
 
 #include "support/error.hpp"
@@ -29,26 +30,40 @@ bool JsonWriter::write_output(const std::string& path,
   return true;
 }
 
-std::string JsonWriter::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+namespace {
+
+/// Append `s` to `out` with JSON string escaping (quotes not included).
+/// Runs of bytes that need no escape are copied in bulk.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(code, sizeof(code));
+      }
     }
   }
+  out.append(run, static_cast<std::size_t>(end - run));
+}
+
+}  // namespace
+
+std::string JsonWriter::escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
@@ -108,7 +123,7 @@ JsonWriter& JsonWriter::end_array() {
 JsonWriter& JsonWriter::key(const std::string& k) {
   comma_and_newline();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\": ";
   after_key_ = true;
   return *this;
@@ -121,15 +136,17 @@ JsonWriter& JsonWriter::raw(const std::string& json) {
 }
 
 JsonWriter& JsonWriter::value(const std::string& v) {
-  comma_and_newline();
-  out_ += '"';
-  out_ += escape(v);
-  out_ += '"';
-  return *this;
+  return string_value(v);
 }
 
-JsonWriter& JsonWriter::value(const char* v) {
-  return value(std::string(v));
+JsonWriter& JsonWriter::value(const char* v) { return string_value(v); }
+
+JsonWriter& JsonWriter::string_value(std::string_view v) {
+  comma_and_newline();
+  out_ += '"';
+  append_escaped(out_, v);
+  out_ += '"';
+  return *this;
 }
 
 JsonWriter& JsonWriter::write_int(std::int64_t v) {

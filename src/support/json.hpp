@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -77,6 +78,7 @@ class JsonWriter {
                            const std::string& payload);
 
  private:
+  JsonWriter& string_value(std::string_view v);
   JsonWriter& write_int(std::int64_t v);
   JsonWriter& write_uint(std::uint64_t v);
   void comma_and_newline();

@@ -152,5 +152,47 @@ TEST(FlatGraph, Fig1TaskInventory) {
   EXPECT_EQ(bcasts, 3u);
 }
 
+TEST(FlatGraph, FlatViewsMirrorDepsAndTasks) {
+  // The engine reads the flat views in place of deps() and task(), so
+  // they must hold the same data in the same order.
+  const Cpg g = build_fig1_cpg();
+  const FlatGraph fg = FlatGraph::expand(g);
+  for (const Task& task : fg.tasks()) {
+    const TaskId t = task.id;
+    std::vector<TaskId> succs;
+    for (EdgeId e : fg.deps().out_edges(t)) {
+      succs.push_back(fg.deps().edge(e).dst);
+    }
+    std::vector<TaskId> preds;
+    for (EdgeId e : fg.deps().in_edges(t)) {
+      preds.push_back(fg.deps().edge(e).src);
+    }
+    EXPECT_EQ(std::vector<TaskId>(fg.succs(t).begin(), fg.succs(t).end()),
+              succs);
+    EXPECT_EQ(std::vector<TaskId>(fg.preds(t).begin(), fg.preds(t).end()),
+              preds);
+    EXPECT_EQ(fg.succs(t).size(), succs.size());
+    EXPECT_EQ(fg.duration(t), task.duration);
+    EXPECT_EQ(fg.resource(t), task.resource);
+    EXPECT_EQ(fg.is_broadcast(t), task.is_broadcast());
+  }
+  // topo_order() lists every task once, each after its predecessors.
+  std::vector<std::size_t> position(fg.task_count(), fg.task_count());
+  for (std::size_t i = 0; i < fg.topo_order().size(); ++i) {
+    position[fg.topo_order()[i]] = i;
+  }
+  ASSERT_EQ(fg.topo_order().size(), fg.task_count());
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    ASSERT_LT(position[t], fg.task_count());
+    for (TaskId pred : fg.preds(t)) EXPECT_LT(position[pred], position[t]);
+  }
+  const auto out_of_range = static_cast<TaskId>(fg.task_count());
+  EXPECT_THROW(fg.succs(out_of_range), InvalidArgument);
+  EXPECT_THROW(fg.preds(out_of_range), InvalidArgument);
+  EXPECT_THROW(fg.duration(out_of_range), InvalidArgument);
+  EXPECT_THROW(fg.resource(out_of_range), InvalidArgument);
+  EXPECT_THROW(fg.is_broadcast(out_of_range), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace cps

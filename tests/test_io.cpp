@@ -8,6 +8,7 @@
 #include "io/table_csv.hpp"
 #include "models/fig1.hpp"
 #include "sched/driver.hpp"
+#include "support/csv.hpp"
 #include "test_util.hpp"
 
 namespace cps {
@@ -144,10 +145,53 @@ TEST(TableCsv, ExportsCellsAndDelays) {
   EXPECT_NE(d.find("C & D & K,39,39"), std::string::npos);
 }
 
+/// The table rendered cell by cell through CsvWriter, as write_table_csv
+/// once did: the oracle of the direct writer.
+std::string csv_writer_table(const ScheduleTable& table) {
+  const FlatGraph& fg = table.flat_graph();
+  const ConditionSet& conds = fg.cpg().conditions();
+  std::ostringstream os;
+  CsvWriter csv(os);
+  csv.row({"task", "kind", "resource", "column", "start"});
+  for (TaskId t = 0; t < fg.task_count(); ++t) {
+    const Task& task = fg.task(t);
+    const char* kind = task.is_comm()        ? "comm"
+                       : task.is_broadcast() ? "broadcast"
+                                             : "process";
+    for (const TableEntry& e : table.row(t)) {
+      csv.cell(task.name)
+          .cell(kind)
+          .cell(fg.arch().pe(e.resource).name)
+          .cell(conds.render(e.column))
+          .cell(e.start);
+      csv.end_row();
+    }
+  }
+  return os.str();
+}
+
+/// Every data row of `csv` splits into exactly 5 RFC-4180 cells.
+void expect_five_cells_per_row(const std::string& csv) {
+  std::size_t line_start = csv.find('\n') + 1;
+  while (line_start < csv.size()) {
+    const std::size_t line_end = csv.find('\n', line_start);
+    const std::string line = csv.substr(line_start, line_end - line_start);
+    std::size_t cells = 1;
+    bool quoted = false;
+    for (char ch : line) {
+      if (ch == '"') quoted = !quoted;
+      if (ch == ',' && !quoted) ++cells;
+    }
+    EXPECT_FALSE(quoted) << line;
+    EXPECT_EQ(cells, 5u) << line;
+    line_start = line_end + 1;
+  }
+}
+
 TEST(TableCsv, QuotesTaskAndConditionNamesPerRfc4180) {
-  // Task names and rendered condition columns may contain commas and
-  // quotes; cells must come out RFC-4180 quoted so the row structure
-  // survives any downstream CSV reader.
+  // Task names, PE names and rendered condition columns may contain
+  // commas and quotes; cells must come out RFC-4180 quoted so the row
+  // structure survives any downstream CSV reader.
   CpgBuilder b(testing::small_arch());
   const CondId c = b.add_condition("C,\"v1\"");
   const ProcessId p1 = b.add_process("prod,main", 0, 2);
@@ -165,31 +209,55 @@ TEST(TableCsv, QuotesTaskAndConditionNamesPerRfc4180) {
   std::ostringstream os;
   write_table_csv(os, r.table);
   const std::string t = os.str();
+  EXPECT_EQ(t, csv_writer_table(r.table));
+  EXPECT_EQ(table_csv_string(r.table), t);
   // Comma-carrying task name: quoted verbatim.
   EXPECT_NE(t.find("\"prod,main\",process"), std::string::npos);
   // Quote-carrying task name: quotes doubled inside a quoted cell.
   EXPECT_NE(t.find("\"cons \"\"fast\"\"\",process"), std::string::npos);
   // Rendered condition column embeds the condition's comma+quote name.
   EXPECT_NE(t.find("\"C,\"\"v1\"\"\""), std::string::npos);
-  // Every data row still splits into exactly 5 RFC-4180 cells.
-  std::size_t line_start = t.find('\n') + 1;
-  while (line_start < t.size()) {
-    const std::size_t line_end = t.find('\n', line_start);
-    const std::string line = t.substr(line_start, line_end - line_start);
-    std::size_t cells = 1;
-    bool quoted = false;
-    for (char ch : line) {
-      if (ch == '"') quoted = !quoted;
-      if (ch == ',' && !quoted) ++cells;
-    }
-    EXPECT_FALSE(quoted) << line;
-    EXPECT_EQ(cells, 5u) << line;
-    line_start = line_end + 1;
-  }
+  expect_five_cells_per_row(t);
 
   std::ostringstream delay_os;
   write_delay_csv(delay_os, r.flat_graph(), r.paths, r.delays);
   EXPECT_NE(delay_os.str().find("\"C,\"\"v1\"\"\""), std::string::npos);
+
+  // A PE name that needs quotes, and a second condition whose name does
+  // not: columns mentioning only K stay bare, columns with C get quoted.
+  Architecture arch;
+  const PeId cpu1 = arch.add_processor("cpu1");
+  const PeId cpu2 = arch.add_processor("cpu,\"2\"");
+  arch.add_bus("bus");
+  arch.set_cond_broadcast_time(1);
+  CpgBuilder b2(arch);
+  const CondId c2 = b2.add_condition("C,\"v1\"");
+  const CondId k = b2.add_condition("K");
+  const ProcessId q1 = b2.add_process("Q1", cpu1, 2);
+  const ProcessId q2 = b2.add_process("Q2", cpu2, 3);
+  const ProcessId q3 = b2.add_process("Q3", cpu2, 1);
+  const ProcessId q4 = b2.add_process("Q4", cpu1, 4);
+  const ProcessId q5 = b2.add_process("Q5", cpu2, 2);
+  const ProcessId q6 = b2.add_process("Q6", cpu1, 1);
+  const ProcessId q7 = b2.add_process("Q7", cpu2, 2);
+  b2.add_cond_edge(q1, q2, Literal{k, true}, 2);
+  b2.add_cond_edge(q1, q3, Literal{k, false}, 2);
+  b2.add_cond_edge(q2, q4, Literal{c2, true}, 2);
+  b2.add_cond_edge(q2, q5, Literal{c2, false});
+  b2.add_edge(q3, q6, 2);
+  b2.add_edge(q4, q7, 3);
+  b2.add_edge(q5, q7);
+  b2.add_edge(q6, q7, 2);
+  b2.mark_conjunction(q7);
+  const Cpg g2 = b2.build();
+  const CoSynthesisResult r2 = schedule_cpg(g2);
+  const std::string t2 = table_csv_string(r2.table);
+  EXPECT_EQ(t2, csv_writer_table(r2.table));
+  EXPECT_NE(t2.find(",\"cpu,\"\"2\"\"\","), std::string::npos);
+  EXPECT_NE(t2.find(",K,"), std::string::npos);
+  EXPECT_NE(t2.find(",!K,"), std::string::npos);
+  EXPECT_NE(t2.find("\"C,\"\"v1\"\" & K\""), std::string::npos);
+  expect_five_cells_per_row(t2);
 }
 
 }  // namespace

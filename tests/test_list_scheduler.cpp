@@ -153,6 +153,56 @@ TEST(ListScheduler, BroadcastUsesFirstAvailableBus) {
   }
 }
 
+TEST(ListScheduler, ResourceReadiedMidPassIsVisitedInThatPass) {
+  // A step visits the sequential resources in PeId order. When the
+  // zero-duration disjunction D completes on cpu1 at t=2, it readies both
+  // its transfer to cpu2 and the broadcast of C on the bus. The bus comes
+  // after cpu1, so the same pass visits it and starts the transfer; the
+  // broadcast, whose step of the pass is already over, waits for the bus.
+  // Starting the broadcast first would delay the transfer and Z by one.
+  Architecture arch;
+  const PeId cpu1 = arch.add_processor("cpu1");
+  const PeId cpu2 = arch.add_processor("cpu2");
+  const PeId bus = arch.add_bus("bus");
+  arch.set_cond_broadcast_time(1);
+  CpgBuilder b(arch);
+  const CondId c = b.add_condition("C");
+  const ProcessId p = b.add_process("P", cpu1, 2);
+  const ProcessId d = b.add_process("D", cpu1, 0);
+  const ProcessId x = b.add_process("X", cpu1, 2);
+  const ProcessId y = b.add_process("Y", cpu1, 3);
+  const ProcessId z = b.add_process("Z", cpu2, 1);
+  b.add_edge(p, d);
+  b.add_edge(d, z, 3);
+  b.add_cond_edge(d, x, Literal{c, true});
+  b.add_cond_edge(d, y, Literal{c, false});
+  const Cpg g = b.build();
+  const FlatGraph fg = FlatGraph::expand(g);
+  TaskId transfer = 0;
+  for (const Task& task : fg.tasks()) {
+    if (task.name == "D->Z") transfer = task.id;
+  }
+  ASSERT_TRUE(fg.task(transfer).is_comm());
+  const auto bcast = fg.broadcast_task(c);
+  ASSERT_TRUE(bcast.has_value());
+  const auto paths = enumerate_paths(g);
+  ASSERT_EQ(paths.size(), 2u);
+  for (const ReadySelection selection :
+       {ReadySelection::kHeap, ReadySelection::kLinearScan}) {
+    for (const AltPath& path : paths) {
+      SCOPED_TRACE(to_string(selection));
+      const PathSchedule s = schedule_path(
+          fg, path, PriorityPolicy::kCriticalPath, nullptr, selection);
+      expect_schedule_invariants(fg, s, fg.active_tasks(path.label));
+      EXPECT_EQ(s.slot(transfer).start, 2);
+      EXPECT_EQ(s.slot(transfer).resource, bus);
+      EXPECT_EQ(s.slot(*bcast).start, 5);
+      EXPECT_EQ(s.slot(fg.task_of_process(z)).start, 5);
+      EXPECT_EQ(s.delay(fg), 6);
+    }
+  }
+}
+
 TEST(ListScheduler, LockedTaskStartsExactlyAtReservation) {
   Architecture arch;
   arch.add_processor("p");

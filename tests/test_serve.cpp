@@ -51,10 +51,14 @@ ServerOptions tiny_options(const char* tag) {
 }
 
 /// The offline oracle: the exact bytes the service must answer for a
-/// "run" request with this id (index defaults to id).
-std::string oracle_payload(const BatchConfig& workload, std::uint64_t id) {
-  const BatchItem item = run_batch_item(workload, id, nullptr);
-  return make_item_response(id, item, nullptr);
+/// "run" request with this id (index defaults to id), with the table CSV
+/// attached when the request asked for it.
+std::string oracle_payload(const BatchConfig& workload, std::uint64_t id,
+                           bool csv = false) {
+  std::string table_csv;
+  const BatchItem item = run_batch_item(workload, id, nullptr, nullptr,
+                                        csv ? &table_csv : nullptr);
+  return make_item_response(id, item, csv && item.ok ? &table_csv : nullptr);
 }
 
 std::string status_of(const std::string& payload) {
@@ -88,13 +92,14 @@ class ServerHarness {
 
 // The PR's acceptance gate: the sorted-by-id response set is
 // byte-identical across thread counts and connection counts, and equal
-// to the offline oracle.
+// to the offline oracle. keep_payloads asks for the table CSV on odd
+// ids, so both response shapes are compared.
 TEST(Serve, ResponsesByteIdenticalAcrossThreadsAndConnections) {
   const BatchConfig workload = tiny_workload();
   constexpr std::size_t kRequests = 12;
   std::vector<std::string> oracle;
   for (std::uint64_t id = 0; id < kRequests; ++id) {
-    oracle.push_back(oracle_payload(workload, id));
+    oracle.push_back(oracle_payload(workload, id, id % 2 == 1));
   }
 
   for (std::size_t threads : {1u, 2u, 4u}) {

@@ -466,6 +466,53 @@ TEST(Json, NonFiniteDoublesRenderAsNull) {
   expect_valid_jsonish(w.str());
 }
 
+TEST(Json, EscapesEveryByteLikeACharByCharReference) {
+  // The writer escapes in bulk; this reference escapes one byte at a
+  // time. Every byte value, framed by plain text, must come out the same
+  // through escape(), key() and value().
+  const auto reference = [](const std::string& s) {
+    std::string out;
+    for (const char ch : s) {
+      const auto c = static_cast<unsigned char>(ch);
+      if (c == '"') {
+        out += "\\\"";
+      } else if (c == '\\') {
+        out += "\\\\";
+      } else if (c == '\n') {
+        out += "\\n";
+      } else if (c == '\r') {
+        out += "\\r";
+      } else if (c == '\t') {
+        out += "\\t";
+      } else if (c < 0x20) {
+        const char* hex = "0123456789abcdef";
+        out += "\\u00";
+        out += hex[c >> 4];
+        out += hex[c & 15];
+      } else {
+        out += ch;
+      }
+    }
+    return out;
+  };
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = "ab" + std::string(1, static_cast<char>(b)) + "cd";
+    all += s;
+    EXPECT_EQ(JsonWriter::escape(s), reference(s)) << "byte " << b;
+    JsonWriter w(0);
+    w.begin_object();
+    w.key(s).value(s);
+    w.key("c").value(s.c_str());
+    w.end_object();
+    EXPECT_EQ(w.str(), "{\"" + reference(s) + "\": \"" + reference(s) +
+                           "\",\"c\": \"" + reference(s.c_str()) + "\"}")
+        << "byte " << b;
+  }
+  EXPECT_EQ(JsonWriter::escape(all), reference(all));
+  EXPECT_EQ(JsonWriter::escape(""), "");
+}
+
 TEST(Json, SingletonAndNonFiniteStatsStayValid) {
   // A percentage over a zero baseline is the realistic inf/NaN source
   // (increase_percent when delta_m == 0); stddev of a singleton sample is
