@@ -30,7 +30,6 @@ int main(int argc, char** argv) try {
   cli.add_flag("seed", "1", "base random seed");
   cli.add_flag("max-threads", "0",
                "largest worker count of the sweep (0 = hardware)");
-  cli.add_flag("ready", "heap", "engine: heap | linear");
   cli.add_flag("deadline-ms", "0",
                "per-item wall-clock deadline in ms (0 = none); timed-out "
                "items are isolated, not fatal");
@@ -64,15 +63,6 @@ int main(int argc, char** argv) try {
   config.cpg.path_count = cli.get_count("paths", 1);
   config.deadline_ms = static_cast<double>(cli.get_count("deadline-ms", 0));
   config.max_retries = cli.get_count("retries", 0);
-  const std::string ready = cli.get_string("ready");
-  if (ready == "linear") {
-    config.synthesis.merge.ready = ReadySelection::kLinearScan;
-  } else if (ready == "heap") {
-    config.synthesis.merge.ready = ReadySelection::kHeap;
-  } else {
-    std::cerr << "unknown --ready value: " << ready << '\n';
-    return 1;
-  }
 
   // One cache across the whole sweep: the 1-thread point warms it and
   // wider points replay (results are byte-identical either way). With
@@ -94,7 +84,7 @@ int main(int argc, char** argv) try {
   AsciiTable table("S2 — batch throughput (" + std::to_string(config.count) +
                    " graphs, " + std::to_string(config.cpg.process_count) +
                    " nodes, " + std::to_string(config.cpg.path_count) +
-                   " paths, " + ready + " engine)");
+                   " paths)");
   table.header({"threads", "wall ms", "graphs/s", "speedup", "efficiency %",
                 "ok", "timeouts", "retries"});
 
@@ -224,7 +214,6 @@ int main(int argc, char** argv) try {
     w.field("nodes", config.cpg.process_count);
     w.field("paths", config.cpg.path_count);
     w.field("seed", config.base_seed);
-    w.field("ready", ready);
     w.field("deadline_ms", config.deadline_ms);
     w.field("retries", config.max_retries);
     w.end_object();

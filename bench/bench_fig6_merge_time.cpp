@@ -47,28 +47,28 @@ struct CellResult {
   double conditions_mean = 0.0;
 };
 
-/// Machine-readable dump (schema_version 3): config, per-cell means, and
-/// run totals. The config block names the engine (heap/linear) and the
-/// per-path scheduling walk (tree/list), so committed trajectory points
-/// (BENCH_baseline.json, BENCH_pr4.json, ...) are self-describing instead
-/// of requiring CHANGES.md archaeology. Schema 3 dropped schema 2's
+/// Machine-readable dump (schema_version 4): config, per-cell means, and
+/// run totals. The config block names the per-path scheduling walk
+/// (tree/list), so committed trajectory points (BENCH_baseline.json,
+/// BENCH_pr4.json, ...) are self-describing instead of requiring
+/// CHANGES.md archaeology. Schema 3 dropped schema 2's
 /// threads/compare/resume/compare_resume config fields and the
 /// speculative/from-scratch columns with them, and renamed
-/// merge_serial_ms to merge_ms; totals.sched_plus_merge_ms, which
-/// --baseline reads, is unchanged.
+/// merge_serial_ms to merge_ms; schema 4 dropped config.engine (there is
+/// one engine). totals.sched_plus_merge_ms, which --baseline reads, is
+/// unchanged.
 std::string cells_to_json(const CliParser& cli, std::size_t graphs_per_cell,
                           const std::vector<CellResult>& cells,
                           double total_merge_ms, double total_sched_ms) {
   JsonWriter w(2);
   w.begin_object();
-  w.field("schema_version", 3);
+  w.field("schema_version", 4);
   w.field("bench", "bench_fig6_merge_time");
   w.key("config").begin_object();
   w.field("graphs_per_cell", graphs_per_cell);
   w.field("seed", cli.get_int("seed"));
   w.field("nodes", cli.get_string("nodes"));
   w.field("paths", cli.get_string("paths"));
-  w.field("engine", cli.get_string("engine"));
   w.field("sched", cli.get_string("sched"));
   w.end_object();
   w.key("cells").begin_array();
@@ -145,9 +145,6 @@ int main(int argc, char** argv) try {
   cli.add_flag("nodes", "60,80,120", "comma-separated node counts");
   cli.add_flag("paths", "10,12,18,24,32",
                "comma-separated merged-schedule counts");
-  cli.add_flag("engine", "heap",
-               "ready-list engine for scheduling and merging: 'heap' "
-               "(production) or 'linear' (pre-heap reference)");
   cli.add_flag("sched", "tree",
                "per-path scheduling walk: 'tree' (guard-trie chain with "
                "checkpointed shared-prefix reuse, production default) or "
@@ -161,14 +158,6 @@ int main(int argc, char** argv) try {
                "off)");
   if (!cli.parse(argc, argv)) return 0;
   const auto graphs_per_cell = cli.get_count("graphs", 1);
-  const std::string engine_name = cli.get_string("engine");
-  if (engine_name != "heap" && engine_name != "linear") {
-    throw cps::ParseError("--engine must be 'heap' or 'linear', got '" +
-                          engine_name + "'");
-  }
-  const ReadySelection engine = engine_name == "linear"
-                                    ? ReadySelection::kLinearScan
-                                    : ReadySelection::kHeap;
   const std::string sched_name = cli.get_string("sched");
   if (sched_name != "tree" && sched_name != "list") {
     throw cps::ParseError("--sched must be 'tree' or 'list', got '" +
@@ -232,7 +221,7 @@ int main(int argc, char** argv) try {
           const auto t_sched = clock_type::now();
           EngineRequest req = make_path_request(
               fg, alt.back(), PriorityPolicy::kCriticalPath, nullptr,
-              engine, &cache);
+              ReadySelection::kHeap, &cache);
           if (tree_sched) {
             req.resume = EngineResume::kCheckpoint;
             req.history = &sched_chain;
@@ -249,10 +238,8 @@ int main(int argc, char** argv) try {
         }
         sched_ms.add(cell_sched_ms);
 
-        MergeOptions merge;
-        merge.ready = engine;
         const auto t0 = clock_type::now();
-        const MergeResult merged = merge_schedules(fg, alt, schedules, merge);
+        const MergeResult merged = merge_schedules(fg, alt, schedules);
         merge_ms.add(ms_since(t0));
         merge_workspace += merged.workspace;
         if (!merged.ok) {

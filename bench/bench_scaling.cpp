@@ -3,10 +3,8 @@
 // as the graph grows. Complements Fig. 6 with a per-stage breakdown.
 //
 // Built on the parallel batch driver: each size row is one batch of
-// deterministically seeded random CPGs. `--compare` additionally runs the
-// pre-heap linear-scan reference engine and reports the speedup of the
-// heap engine per size; `--json FILE` dumps the machine-readable batch
-// results (use "-" for stdout).
+// deterministically seeded random CPGs. `--json FILE` dumps the
+// machine-readable batch results (use "-" for stdout).
 //
 // `--compare-tree` switches to the guard-trie equivalence/speedup mode:
 // each seeded CPG is co-synthesized with the retained path-list reference
@@ -32,14 +30,13 @@ using namespace cps;
 
 BatchResult run_size(std::size_t nodes, std::size_t graphs,
                      std::size_t paths, std::uint64_t seed,
-                     std::size_t threads, ReadySelection ready) {
+                     std::size_t threads) {
   BatchConfig config;
   config.count = graphs;
   config.base_seed = seed;
   config.threads = threads;
   config.cpg.process_count = nodes;
   config.cpg.path_count = paths;
-  config.synthesis.merge.ready = ready;
   return run_batch(config);
 }
 
@@ -210,8 +207,6 @@ int main(int argc, char** argv) try {
   cli.add_flag("sizes", "40,80,160,320", "comma-separated node counts");
   cli.add_flag("threads", "1", "worker threads per batch (0 = hardware)");
   cli.add_flag("json", "", "dump batch results as JSON to FILE (- = stdout)");
-  cli.add_bool("compare", "also run the linear-scan reference engine and "
-                          "report the heap speedup");
   cli.add_bool("compare-tree",
                "guard-trie mode: verify tree-vs-list schedule-table "
                "identity and report the schedule-stage speedup (exits "
@@ -223,39 +218,25 @@ int main(int argc, char** argv) try {
   const std::size_t threads = cli.get_count("threads", 0);
   const auto seed = static_cast<std::uint64_t>(cli.get_count("seed", 0));
   const std::vector<std::size_t> sizes = cli.get_count_list("sizes");
-  const bool compare = cli.get_bool("compare");
 
   AsciiTable table("S1 — pipeline stage cost (ms, averaged over " +
                    std::to_string(graphs) + " graphs, " +
-                   std::to_string(paths) + " paths, heap engine)");
-  std::vector<std::string> cols = {"nodes", "expand", "enumerate",
-                                   "schedule paths", "merge", "validate",
-                                   "tasks", "table cells"};
-  if (compare) {
-    cols.push_back("linear sched");
-    cols.push_back("linear merge");
-    cols.push_back("speedup");
-  }
-  table.header(cols);
+                   std::to_string(paths) + " paths)");
+  table.header({"nodes", "expand", "enumerate", "schedule paths", "merge",
+                "validate", "tasks", "table cells"});
 
   std::vector<std::string> json_batches;
   bool failed = false;
-  const auto note_failures = [&failed](const BatchResult& result,
-                                       const char* engine) {
-    if (result.summary.ok_count == result.summary.count) return;
+  for (std::size_t nodes : sizes) {
+    const BatchResult result = run_size(nodes, graphs, paths, seed, threads);
+    const BatchSummary& s = result.summary;
     for (const BatchItem& item : result.items) {
       if (!item.ok) {
-        std::cerr << engine << " graph seed " << item.seed
-                  << " failed: " << item.error << '\n';
+        std::cerr << "graph seed " << item.seed << " failed: " << item.error
+                  << '\n';
+        failed = true;
       }
     }
-    failed = true;
-  };
-  for (std::size_t nodes : sizes) {
-    const BatchResult heap = run_size(nodes, graphs, paths, seed, threads,
-                                      ReadySelection::kHeap);
-    const BatchSummary& s = heap.summary;
-    note_failures(heap, "heap");
     table.cell(static_cast<std::int64_t>(nodes))
         .cell(s.expand_ms.mean(), 3)
         .cell(s.enumerate_ms.mean(), 3)
@@ -264,27 +245,9 @@ int main(int argc, char** argv) try {
         .cell(s.validate_ms.mean(), 3)
         .cell(s.tasks.mean(), 0)
         .cell(s.table_entries.mean(), 0);
-    if (compare) {
-      const BatchResult linear = run_size(nodes, graphs, paths, seed,
-                                          threads,
-                                          ReadySelection::kLinearScan);
-      note_failures(linear, "linear-scan");
-      const double heap_core =
-          s.schedule_ms.mean() + s.merge_ms.mean();
-      const double linear_core = linear.summary.schedule_ms.mean() +
-                                 linear.summary.merge_ms.mean();
-      table.cell(linear.summary.schedule_ms.mean(), 3)
-          .cell(linear.summary.merge_ms.mean(), 3)
-          .cell(heap_core > 0.0 ? linear_core / heap_core : 0.0, 2);
-      if (!cli.get_string("json").empty()) {
-        // The dump carries both engines; config.ready_selection tells
-        // them apart.
-        json_batches.push_back(batch_result_to_json(linear));
-      }
-    }
     table.end_row();
     if (!cli.get_string("json").empty()) {
-      json_batches.push_back(batch_result_to_json(heap));
+      json_batches.push_back(batch_result_to_json(result));
     }
   }
 

@@ -162,12 +162,12 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
 //
 // The exact key is the canonical graph encoding followed by every option
 // field that affects a *serialized item*: the schedule/table (priority
-// policy, engine, merge order, seeds, path budget) and the walk mode,
-// which shapes the counters. Interrupt
-// limits (deadline, step budget, cancel) are deliberately absent — a
-// tripped item is never ok, and only ok items are cached. Index and seed
-// are absent too: that is the point of content addressing — the same
-// graph requested under a different index replays the same result.
+// policy, merge order, seeds, path budget) and the walk mode, which
+// shapes the counters. Interrupt limits (deadline, step budget, cancel)
+// are deliberately absent — a tripped item is never ok, and only ok
+// items are cached. Index and seed are absent too: that is the point of
+// content addressing — the same graph requested under a different index
+// replays the same result.
 
 void append_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -187,13 +187,12 @@ std::uint64_t read_u64(std::string_view in, std::size_t at) {
 std::string exact_key_encoding(const Cpg& g,
                                const CoSynthesisOptions& synthesis) {
   std::string key = canonical_encoding(g);
-  key.append("OPT3");
+  key.append("OPT4");
   const auto u8 = [&key](std::uint8_t v) {
     key.push_back(static_cast<char>(v));
   };
   u8(static_cast<std::uint8_t>(synthesis.path_priority));
   u8(static_cast<std::uint8_t>(synthesis.merge.selection));
-  u8(static_cast<std::uint8_t>(synthesis.merge.ready));
   u8(synthesis.merge.trace ? 1 : 0);
   u8(synthesis.validate ? 1 : 0);
   u8(static_cast<std::uint8_t>(synthesis.on_budget));
@@ -259,17 +258,24 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
 
 bool decode_cached_item(std::string_view in, BatchItem* item,
                         std::string* csv) {
-  // 1 code byte + 33 u64 fields (version, 31 scalars, csv length).
-  constexpr std::size_t kFixed = 1 + 33 * 8;
-  if (in.size() < kFixed || read_u64(in, 0) != kPayloadVersion) return false;
-  std::size_t at = 8;
-  item->code = static_cast<ErrorCode>(static_cast<unsigned char>(in[at]));
-  at += 1;
+  // Every read is bounds-checked, so the shortest payload accepted is
+  // exactly the fields read: u64 version, code byte, 32 u64 scalars and
+  // the u64 CSV length (273 bytes). A short payload reads as zeros and is
+  // rejected below.
+  std::size_t at = 0;
+  bool truncated = false;
   const auto u64 = [&] {
+    if (in.size() - at < 8) {
+      truncated = true;
+      return std::uint64_t{0};
+    }
     const std::uint64_t v = read_u64(in, at);
     at += 8;
     return v;
   };
+  if (u64() != kPayloadVersion || at == in.size()) return false;
+  item->code = static_cast<ErrorCode>(static_cast<unsigned char>(in[at]));
+  at += 1;
   const auto dbl = [&] {
     const std::uint64_t b = u64();
     double d;
@@ -311,7 +317,7 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
   item->tree.prefix_resumes = u64();
   item->tree.resumed_steps = u64();
   const std::uint64_t csv_len = u64();
-  if (in.size() - at != csv_len) return false;
+  if (truncated || in.size() - at != csv_len) return false;
   csv->assign(in.substr(at));
   return true;
 }
@@ -531,7 +537,6 @@ std::string batch_result_to_json(const BatchResult& result,
   w.field("processes", result.config.cpg.process_count);
   w.field("paths", result.config.cpg.path_count);
   w.field("distribution", to_string(result.config.cpg.distribution));
-  w.field("ready_selection", to_string(result.config.synthesis.merge.ready));
   w.field("path_scheduling",
           to_string(result.config.synthesis.path_scheduling));
   w.field("path_selection",

@@ -132,7 +132,7 @@ ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
     const auto s0 = clock_type::now();
     EngineRequest req =
         make_path_request(flat, out.paths.back(), options.path_priority,
-                          &rng, options.merge.ready, &cover_cache);
+                          &rng, ReadySelection::kHeap, &cover_cache);
     if (tree) {
       req.resume = EngineResume::kCheckpoint;
       req.history = &chain;

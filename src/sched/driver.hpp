@@ -54,9 +54,6 @@ struct PathTreeStats {
 
 struct CoSynthesisOptions {
   PriorityPolicy path_priority = PriorityPolicy::kCriticalPath;
-  /// merge.ready selects the engine for the *whole* flow: both per-path
-  /// scheduling and the merge adjustments use it, so one knob switches
-  /// between the heap engine and the linear-scan reference.
   MergeOptions merge;
   /// Validate the table (requirements 1-4) after merging; on violation a
   /// ValidationError is thrown. Turn off only in benchmarks that measure

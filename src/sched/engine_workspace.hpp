@@ -53,17 +53,10 @@ struct TaskLock {
   PeId resource = 0;
 };
 
-/// Ready-task selection strategy.
-///
-/// kHeap is the production engine: per-resource lazy max-heaps keyed by
-/// (priority, task id), precomputed guard masks and a memoized DNF cover
-/// cache. kLinearScan preserves the original O(V^2) engine byte-for-byte
-/// (full task scans, per-step DNF re-evaluation); it exists as the
-/// equivalence-test reference and performance baseline. Both produce
-/// identical schedules on identical requests.
-enum class ReadySelection : std::uint8_t { kHeap, kLinearScan };
-
-const char* to_string(ReadySelection s);
+/// Kept only because perfbench/src/workloads.cpp and
+/// perfbench/src/layers.cpp compile against it (MergeOptions::ready and
+/// make_path_request's parameter); nothing reads it. There is one engine.
+enum class ReadySelection : std::uint8_t { kHeap };
 
 /// Whether an engine run may resume from a recorded checkpoint stream.
 ///
@@ -77,7 +70,7 @@ enum class EngineResume : std::uint8_t { kFromScratch, kCheckpoint };
 const char* to_string(EngineResume r);
 
 /// Max-heap entry of the per-resource ready list: highest priority first,
-/// lowest task id on ties (matching the reference linear scan exactly).
+/// lowest task id on ties.
 struct ReadyEntry {
   std::int64_t prio = 0;
   TaskId id = 0;
@@ -259,7 +252,7 @@ struct EngineWorkspace {
   std::vector<std::vector<Time>> known;
   std::vector<char> seq;
 
-  // Heap-mode state.
+  // Knowledge words, ready structures and lock events.
   std::vector<std::uint64_t> known_pos;
   std::vector<std::uint64_t> known_neg;
   std::vector<ReadyHeap> ready;

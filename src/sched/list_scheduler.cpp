@@ -20,9 +20,11 @@ bool any_lock(const std::vector<std::optional<TaskLock>>& locks) {
   return false;
 }
 
-/// The engine proper. All mutable state lives in the EngineWorkspace so
+/// The engine proper: lazy per-resource ready heaps, guard masks and
+/// memoized covers. All mutable state lives in the EngineWorkspace so
 /// repeated runs reuse capacity; the Engine object itself is a cheap
 /// per-run view binding the workspace buffers to their historical names.
+/// tests/reference_engine.hpp is its independent O(V^2) oracle.
 class Engine {
  public:
   Engine(const FlatGraph& fg, const EngineRequest& request,
@@ -59,9 +61,6 @@ class Engine {
   EngineResult run();
 
  private:
-  bool heap_mode() const {
-    return req_.selection == ReadySelection::kHeap;
-  }
   bool active(TaskId t) const { return active_[t] != 0; }
   bool locked(TaskId t) const {
     return !locks_.empty() && locks_[t].has_value();
@@ -72,19 +71,10 @@ class Engine {
     return pending_[t] == 0 && dep_ready_[t] <= now;
   }
 
-  // ---- reference engine (pre-heap): full scans, direct DNF evaluation.
+  // ---- one step: start everything startable at `now`.
 
-  /// Condition-knowledge check for starting task t at `now` on `res`.
-  bool knowledge_ok_reference(TaskId t, Time now, PeId res) const;
-
-  /// Does [now, now+dur) avoid every unstarted lock reservation on `res`?
-  bool fits_reference(PeId res, Time now, Time dur) const;
-
-  bool try_starts_reference(Time now);
-
-  // ---- heap engine: lazy ready heaps, guard masks, memoized covers.
-
-  bool knowledge_ok_fast(TaskId t, PeId res) const;
+  /// Condition-knowledge check for starting task t on `res`.
+  bool knowledge_ok(TaskId t, PeId res) const;
   bool guard_covered(const Dnf& guard, const TaskGuardInfo& info,
                      PeId res) const;
   bool guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
@@ -94,13 +84,15 @@ class Engine {
   Cube known_context(PeId res, std::uint64_t mention) const;
   Cube known_context_full(PeId res) const;
 
-  bool fits_fast(PeId res, Time now, Time dur) const;
+  /// Does [now, now+dur) avoid every unstarted lock reservation on `res`?
+  bool fits(PeId res, Time now, Time dur) const;
   void enqueue_ready(TaskId t);
   /// Queue `res` for the next step-3 visit (sequential resources only).
   void mark_dirty(PeId res) {
     if (seq_[res]) dirty_[res >> 6] |= std::uint64_t{1} << (res & 63);
   }
-  bool try_starts_heap(Time now);
+  /// One pass of the four start steps; true if anything started.
+  bool try_starts(Time now);
   /// Sort the active locks by (start, id) into lock_order_ and the
   /// per-resource lists, and reset their cursors.
   void init_lock_order();
@@ -117,11 +109,8 @@ class Engine {
   void maybe_record(Time now, std::size_t steps);
   void finalize_history(bool feasible);
 
-  // ---- shared machinery.
+  // ---- events.
 
-  bool try_starts(Time now) {
-    return heap_mode() ? try_starts_heap(now) : try_starts_reference(now);
-  }
   /// After the fixpoint at `now`: the lowest-id lock reserved at or before
   /// `now` that has not started (the run then fails on it), if any.
   std::optional<TaskId> missed_lock(Time now);
@@ -178,10 +167,10 @@ class Engine {
 
   std::size_t remaining_ = 0;
 
-  // Heap-mode state. Knowledge doubles as per-resource bitmasks over the
-  // path label so guard coverage is a couple of AND/CMP instructions.
-  // When the masks are exact (condition count <= 64) the time matrix
-  // known_ is not maintained at all in heap mode.
+  // Knowledge doubles as per-resource bitmasks over the path label so
+  // guard coverage is a couple of AND/CMP instructions. When the masks
+  // are exact (condition count <= 64) the time matrix known_ is not
+  // maintained at all.
   bool use_masks_ = false;
   std::vector<std::uint64_t>& known_pos_;  // by PeId
   std::vector<std::uint64_t>& known_neg_;  // by PeId
@@ -219,155 +208,7 @@ class Engine {
 };
 
 // --------------------------------------------------------------------------
-// Reference engine (kLinearScan). This is the seed implementation, kept
-// verbatim: the equivalence tests prove the heap engine reproduces its
-// schedules, and the benchmarks quote speedups against it.
-
-bool Engine::knowledge_ok_reference(TaskId t, Time now, PeId res) const {
-  if (!req_.enforce_knowledge) return true;
-  const Task& task = fg_.task(t);
-  const bool conjunction =
-      task.origin_process &&
-      fg_.cpg().process(*task.origin_process).conjunction;
-  if (task.guard.is_true() && !conjunction) return true;
-
-  Cube known_cube;
-  for (CondId c = 0; c < fg_.cpg().conditions().size(); ++c) {
-    const auto value = label_.value_of(c);
-    if (!value) continue;
-    if (known_[res][c] > now) continue;
-    auto next = known_cube.conjoin(Literal{c, *value});
-    CPS_ASSERT(next.has_value(), "known cube cannot contradict itself");
-    known_cube = std::move(*next);
-  }
-  if (!task.guard.covered_by_context(known_cube)) return false;
-
-  // Conjunction processes (and the sink) are activated by whichever input
-  // alternative is selected, so their start time varies with conditions
-  // their own guard may not mention. A deterministic time-triggered
-  // scheduler on M(t) must be able to tell the alternatives apart:
-  // require that the known conditions *decide* the activity of every
-  // predecessor (paper §5.2, the premise behind Theorem 1).
-  if (conjunction) {
-    for (EdgeId e : fg_.deps().in_edges(t)) {
-      const TaskId pred = fg_.deps().edge(e).src;
-      const Dnf& pg = fg_.task(pred).guard;
-      if (pg.is_true()) continue;
-      if (active_[pred]) {
-        if (!pg.covered_by_context(known_cube)) return false;
-      } else {
-        if (!pg.and_cube(known_cube).is_false()) return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool Engine::fits_reference(PeId res, Time now, Time dur) const {
-  if (locks_.empty()) return true;
-  if (!fg_.arch().pe(res).sequential()) return true;
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (!active(t) || started_[t] || !locked(t)) continue;
-    const TaskLock& l = *locks_[t];
-    if (l.resource != res) continue;
-    const Time lock_end = l.start + fg_.task(t).duration;
-    if (l.start < now + dur && now < lock_end) return false;
-    // Zero-length occupations still forbid covering them with a running
-    // task: a lock at time s inside (now, now+dur) must stay reachable.
-    if (fg_.task(t).duration == 0 && l.start >= now && l.start < now + dur) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Engine::try_starts_reference(Time now) {
-  bool any = false;
-
-  // 1. Locked tasks reaching their fixed start time. A lock that cannot
-  //    start exactly at its reserved moment makes the request infeasible;
-  //    that is detected here and reported by run().
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (!active(t) || started_[t] || !locked(t)) continue;
-    if (lock(t).start != now) continue;
-    // Feasibility is re-checked in run() via pending_failure_; here we
-    // only start locks whose prerequisites hold.
-    if (!deps_done(t, now)) continue;
-    if (!knowledge_ok_reference(t, now, lock(t).resource)) continue;
-    const PeId res = lock(t).resource;
-    if (fg_.arch().pe(res).sequential() && busy_until_[res] > now) continue;
-    start_task(t, now, res);
-    any = true;
-  }
-
-  // 2. Broadcast tasks: as soon as possible on the first available
-  //    all-connecting bus.
-  if (fg_.broadcasts_enabled()) {
-    for (TaskId t = 0; t < fg_.task_count(); ++t) {
-      const Task& task = fg_.task(t);
-      if (!task.is_broadcast() || !active(t) || started_[t] || locked(t)) {
-        continue;
-      }
-      if (!deps_done(t, now)) continue;
-      for (PeId bus : fg_.broadcast_buses()) {
-        if (busy_until_[bus] > now) continue;
-        if (!fits_reference(bus, now, task.duration)) continue;
-        if (!knowledge_ok_reference(t, now, bus)) continue;
-        start_task(t, now, bus);
-        any = true;
-        break;
-      }
-    }
-  }
-
-  // 3. Unlocked tasks on sequential resources: per free resource pick the
-  //    ready task with the highest priority.
-  for (PeId res : fg_.used_resources()) {
-    if (!fg_.arch().pe(res).sequential()) continue;
-    bool started_one = true;
-    while (started_one) {  // zero-duration tasks free the resource again
-      started_one = false;
-      if (busy_until_[res] > now) break;
-      TaskId best = 0;
-      bool have = false;
-      for (TaskId t = 0; t < fg_.task_count(); ++t) {
-        const Task& task = fg_.task(t);
-        if (task.is_broadcast() || task.resource != res) continue;
-        if (!active(t) || started_[t] || locked(t)) continue;
-        if (!deps_done(t, now)) continue;
-        if (!fits_reference(res, now, task.duration)) continue;
-        if (!knowledge_ok_reference(t, now, res)) continue;
-        if (!have || priority_[t] > priority_[best] ||
-            (priority_[t] == priority_[best] && t < best)) {
-          best = t;
-          have = true;
-        }
-      }
-      if (have) {
-        start_task(best, now, res);
-        any = true;
-        started_one = true;
-      }
-    }
-  }
-
-  // 4. Hardware resources run everything that is ready.
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    const Task& task = fg_.task(t);
-    if (task.is_broadcast() || active(t) == false || started_[t]) continue;
-    if (locked(t)) continue;
-    if (fg_.arch().pe(task.resource).sequential()) continue;
-    if (!deps_done(t, now)) continue;
-    if (!knowledge_ok_reference(t, now, task.resource)) continue;
-    start_task(t, now, task.resource);
-    any = true;
-  }
-
-  return any;
-}
-
-// --------------------------------------------------------------------------
-// Heap engine (kHeap).
+// The step.
 
 Cube Engine::known_context(PeId res, std::uint64_t mention) const {
   // The knowledge words and the cube share the packed representation, so
@@ -424,12 +265,17 @@ bool Engine::guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
   return cache_->disjoint(guard, known_context_full(res));
 }
 
-bool Engine::knowledge_ok_fast(TaskId t, PeId res) const {
+bool Engine::knowledge_ok(TaskId t, PeId res) const {
   if (!req_.enforce_knowledge) return true;
   const TaskGuardInfo& info = fg_.guard_info(t);
   if (info.trivially_true && !info.conjunction) return true;
   if (!guard_covered(fg_.task(t).guard, info, res)) return false;
   if (info.conjunction) {
+    // Conjunction processes (and the sink) are activated by whichever
+    // input alternative is selected, so a time-triggered scheduler on
+    // M(t) must tell the alternatives apart: the known conditions must
+    // decide every guarded predecessor's activity (paper §5.2, the
+    // premise behind Theorem 1).
     for (TaskId pred : info.guarded_preds) {
       const TaskGuardInfo& pinfo = fg_.guard_info(pred);
       if (active_[pred]) {
@@ -442,11 +288,11 @@ bool Engine::knowledge_ok_fast(TaskId t, PeId res) const {
   return true;
 }
 
-bool Engine::fits_fast(PeId res, Time now, Time dur) const {
+bool Engine::fits(PeId res, Time now, Time dur) const {
   // Every unstarted lock on `res` starts at or after `now`, so
   // [now, now + dur) avoids them all (zero-length ones included) iff it
-  // ends by the earliest one — the reference's overlap tests reduce to
-  // this single comparison.
+  // ends by the earliest one: the per-lock overlap tests reduce to this
+  // single comparison.
   if (!seq_[res]) return true;
   const std::vector<TaskId>& on_res = locks_on_res_[res];
   const std::size_t next = lock_res_next_[res];
@@ -488,7 +334,7 @@ void Engine::enqueue_ready(TaskId t) {
   }
 }
 
-bool Engine::try_starts_heap(Time now) {
+bool Engine::try_starts(Time now) {
   bool any = false;
 
   // 1. Locked tasks reaching their fixed start time: the locks from the
@@ -499,7 +345,7 @@ bool Engine::try_starts_heap(Time now) {
     if (started_[t]) continue;
     if (!deps_done(t, now)) continue;
     const PeId res = lock(t).resource;
-    if (!knowledge_ok_fast(t, res)) continue;
+    if (!knowledge_ok(t, res)) continue;
     if (seq_[res] && busy_until_[res] > now) continue;
     start_task(t, now, res);
     any = true;
@@ -519,8 +365,8 @@ bool Engine::try_starts_heap(Time now) {
       const Time dur = fg_.duration(t);
       for (PeId bus : fg_.broadcast_buses()) {
         if (busy_until_[bus] > now) continue;
-        if (!fits_fast(bus, now, dur)) continue;
-        if (!knowledge_ok_fast(t, bus)) continue;
+        if (!fits(bus, now, dur)) continue;
+        if (!knowledge_ok(t, bus)) continue;
         start_task(t, now, bus);
         any = true;
         break;
@@ -552,8 +398,8 @@ bool Engine::try_starts_heap(Time now) {
         heap.pop();
         const TaskId t = entry.id;
         if (started_[t]) continue;  // stale entry
-        if (!fits_fast(res, now, fg_.duration(t)) ||
-            !knowledge_ok_fast(t, res)) {
+        if (!fits(res, now, fg_.duration(t)) ||
+            !knowledge_ok(t, res)) {
           deferred.push_back(entry);
           continue;
         }
@@ -574,7 +420,7 @@ bool Engine::try_starts_heap(Time now) {
     const TaskId t = hw_ready_[i];
     if (started_[t]) continue;
     const PeId res = fg_.resource(t);
-    if (!knowledge_ok_fast(t, res)) {
+    if (!knowledge_ok(t, res)) {
       hw_still.push_back(t);
       continue;
     }
@@ -807,13 +653,13 @@ void Engine::finalize_history(bool feasible) {
 }
 
 // --------------------------------------------------------------------------
-// Shared machinery.
+// Starts, completions and lock events.
 
 void Engine::start_task(TaskId t, Time now, PeId res) {
   const Time dur = fg_.duration(t);
   started_[t] = 1;
   sched_.place(t, now, now + dur, res);
-  if (heap_mode() && locked(t)) {
+  if (locked(t)) {
     // Keep the resource's cursor on its earliest unstarted lock.
     const std::vector<TaskId>& on_res = locks_on_res_[res];
     std::size_t& next = lock_res_next_[res];
@@ -854,7 +700,6 @@ void Engine::complete_task(TaskId t, Time now) {
   const Task& task = fg_.task(t);
   const PeId res = sched_.slot(t).resource;
   mark_dirty(res);  // freed
-  const bool heap = heap_mode();
   for (TaskId succ : fg_.succs(t)) {
     if (!active(succ)) continue;
     CPS_ASSERT(pending_[succ] > 0, "predecessor bookkeeping underflow");
@@ -862,7 +707,7 @@ void Engine::complete_task(TaskId t, Time now) {
     dep_ready_[succ] = std::max(dep_ready_[succ], now);
     if (pending_[succ] == 0) {
       act_[succ] = now;
-      if (heap) enqueue_ready(succ);
+      enqueue_ready(succ);
     }
   }
   if (task.computes) {
@@ -881,40 +726,21 @@ void Engine::complete_task(TaskId t, Time now) {
 }
 
 std::optional<TaskId> Engine::missed_lock(Time now) {
-  if (heap_mode()) {
-    // Every lock before the cursor started at its reservation, and the
-    // locks reserved at `now` follow it in id order, so the first
-    // unstarted one is the lowest-id miss. On success the cursor moves
-    // past `now`.
-    for (; lock_next_ < lock_order_.size(); ++lock_next_) {
-      const TaskId t = lock_order_[lock_next_];
-      if (lock(t).start > now) break;
-      if (!started_[t]) return t;
-    }
-    return std::nullopt;
-  }
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (active(t) && locked(t) && !started_[t] && lock(t).start <= now) {
-      return t;
-    }
+  // Every lock before the cursor started at its reservation, and the
+  // locks reserved at `now` follow it in id order, so the first unstarted
+  // one is the lowest-id miss. On success the cursor moves past `now`.
+  for (; lock_next_ < lock_order_.size(); ++lock_next_) {
+    const TaskId t = lock_order_[lock_next_];
+    if (lock(t).start > now) break;
+    if (!started_[t]) return t;
   }
   return std::nullopt;
 }
 
 Time Engine::next_lock_start() const {
-  if (heap_mode()) {
-    // After missed_lock passed, nothing from the cursor on has started.
-    return lock_next_ < lock_order_.size()
-               ? lock(lock_order_[lock_next_]).start
-               : kInf;
-  }
-  Time next = kInf;
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (active(t) && locked(t) && !started_[t]) {
-      next = std::min(next, lock(t).start);
-    }
-  }
-  return next;
+  // After missed_lock passed, nothing from the cursor on has started.
+  return lock_next_ < lock_order_.size() ? lock(lock_order_[lock_next_]).start
+                                         : kInf;
 }
 
 EngineResult Engine::infeasible(TaskId t, const std::string& reason) {
@@ -971,13 +797,11 @@ EngineResult Engine::run() {
   }
   cache_ = req_.cover_cache ? req_.cover_cache : &ws_.private_cache;
 
-  // Checkpoint resume: only the heap engine records/resumes (the
-  // linear-scan reference always runs from scratch), and only lock-free
-  // requests — the tree driver chaining leaves of the guard trie. A
-  // history handed in with a locked request is neither read nor written.
+  // Checkpoint resume: only lock-free requests record/resume — the tree
+  // driver chaining leaves of the guard trie. A history handed in with a
+  // locked request is neither read nor written.
   recording_ = req_.history != nullptr &&
-               req_.resume == EngineResume::kCheckpoint && heap_mode() &&
-               !any_lock(locks_);
+               req_.resume == EngineResume::kCheckpoint && !any_lock(locks_);
   const bool guard_usable = recording_ && req_.history->valid &&
                             history_guard_matches(*req_.history);
 
@@ -992,7 +816,7 @@ EngineResult Engine::run() {
     seq_[r] = fg_.arch().pe(r).sequential() ? 1 : 0;
   }
   dirty_.assign((fg_.arch().pe_count() + 63) / 64, 0);
-  use_masks_ = heap_mode() && fg_.masks_enabled();
+  use_masks_ = fg_.masks_enabled();
   if (!use_masks_) {
     known_.assign(fg_.arch().pe_count(),
                   std::vector<Time>(fg_.cpg().conditions().size(), kInf));
@@ -1011,21 +835,19 @@ EngineResult Engine::run() {
     if (open == 0) act_[t] = 0;
   }
 
-  if (heap_mode()) {
-    known_pos_.assign(fg_.arch().pe_count(), 0);
-    known_neg_.assign(fg_.arch().pe_count(), 0);
-    ready_.assign(fg_.arch().pe_count(), ReadyHeap());
-    init_lock_order();
-    bcast_pending_.clear();
-    hw_ready_.clear();
-    for (TaskId t : active_list_) {
-      if (locked(t)) continue;
-      if (fg_.is_broadcast(t)) {
-        bcast_pending_.push_back(t);
-        continue;
-      }
-      if (pending_[t] == 0) enqueue_ready(t);
+  known_pos_.assign(fg_.arch().pe_count(), 0);
+  known_neg_.assign(fg_.arch().pe_count(), 0);
+  ready_.assign(fg_.arch().pe_count(), ReadyHeap());
+  init_lock_order();
+  bcast_pending_.clear();
+  hw_ready_.clear();
+  for (TaskId t : active_list_) {
+    if (locked(t)) continue;
+    if (fg_.is_broadcast(t)) {
+      bcast_pending_.push_back(t);
+      continue;
     }
+    if (pending_[t] == 0) enqueue_ready(t);
   }
 
   Time now = 0;
@@ -1099,8 +921,7 @@ EngineResult Engine::run() {
     if (remaining_ == 0) break;
 
     // A locked task whose start time has arrived but which could not be
-    // started is a hard failure: the reservation cannot be honored. Heap
-    // mode reads its lock cursor; the reference scans every task.
+    // started is a hard failure: the reservation cannot be honored.
     if (const std::optional<TaskId> t = missed_lock(now)) {
       EngineResult out = infeasible(
           *t, "locked task " + fg_.task(*t).name +
@@ -1179,23 +1000,22 @@ EngineResult run_list_scheduler(const FlatGraph& fg,
 
 EngineRequest make_path_request(const FlatGraph& fg, const AltPath& path,
                                 PriorityPolicy policy, Rng* rng,
-                                ReadySelection selection,
+                                ReadySelection /*ignored*/,
                                 CoverCache* cover_cache) {
   EngineRequest req;
   req.label = path.label;
   req.active = fg.active_tasks(path.label, cover_cache);
   req.priority = compute_priorities(fg, req.active, policy, rng);
-  req.selection = selection;
   req.cover_cache = cover_cache;
   return req;
 }
 
 PathSchedule schedule_path(const FlatGraph& fg, const AltPath& path,
                            PriorityPolicy policy, Rng* rng,
-                           ReadySelection selection, CoverCache* cover_cache,
+                           CoverCache* cover_cache,
                            EngineWorkspace* workspace) {
-  const EngineRequest req =
-      make_path_request(fg, path, policy, rng, selection, cover_cache);
+  const EngineRequest req = make_path_request(
+      fg, path, policy, rng, ReadySelection::kHeap, cover_cache);
   EngineResult res = workspace ? run_list_scheduler(fg, req, *workspace)
                                : run_list_scheduler(fg, req);
   CPS_ASSERT(res.feasible,

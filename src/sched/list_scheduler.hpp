@@ -20,7 +20,15 @@
 //    disjunction's end and elsewhere at the end of its broadcast;
 //  * broadcast tasks are scheduled as soon as possible on the first
 //    available all-connecting bus (paper §3) and take precedence over
-//    data communications that become ready at the same moment.
+//    data communications that become ready at the same moment. The one
+//    exception: when a zero-duration task completes during a step's
+//    sequential-resource pass and readies both a broadcast and a data
+//    communication on a bus later in PeId order, that pass starts the
+//    communication, because the step's broadcast pass is already over
+//    (ListScheduler.ResourceReadiedMidPassIsVisitedInThatPass).
+//
+// tests/reference_engine.hpp re-implements these semantics as an
+// independent O(V^2) scan; the HeapEquivalence suite compares the two.
 #pragma once
 
 #include <optional>
@@ -46,14 +54,12 @@ struct EngineRequest {
   std::vector<std::optional<TaskLock>> locks;
   /// Enforce the condition-knowledge rule (off for the oblivious baseline).
   bool enforce_knowledge = true;
-  /// Ready-task selection strategy (see ReadySelection).
-  ReadySelection selection = ReadySelection::kHeap;
   /// Optional shared DNF cover cache (non-owning; must outlive the run and
   /// memoize guards of the same FlatGraph). The engine uses the
-  /// workspace's private cache when null. Ignored by kLinearScan.
+  /// workspace's private cache when null.
   CoverCache* cover_cache = nullptr;
   /// Incremental rescheduling knob (see EngineResume). Only effective
-  /// with kHeap selection and a non-null `history`.
+  /// with a non-null `history`.
   EngineResume resume = EngineResume::kFromScratch;
   /// Checkpoint stream to resume from and re-record into (non-owning;
   /// must outlive the run), chained across lock-free runs of sibling
@@ -110,7 +116,9 @@ EngineResult run_list_scheduler(const FlatGraph& fg,
 /// Build the per-path engine request of `schedule_path` (active set +
 /// priorities for one alternative path) without running the engine. The
 /// tree driver uses it to attach resume options — an EngineHistory
-/// chained across the leaves of the guard trie — before dispatch.
+/// chained across the leaves of the guard trie — before dispatch. The
+/// ReadySelection parameter is ignored; it is kept only because
+/// perfbench/src/layers.cpp passes it.
 EngineRequest make_path_request(const FlatGraph& fg, const AltPath& path,
                                 PriorityPolicy policy, Rng* rng,
                                 ReadySelection selection,
@@ -122,7 +130,7 @@ EngineRequest make_path_request(const FlatGraph& fg, const AltPath& path,
 PathSchedule schedule_path(
     const FlatGraph& fg, const AltPath& path,
     PriorityPolicy policy = PriorityPolicy::kCriticalPath,
-    Rng* rng = nullptr, ReadySelection selection = ReadySelection::kHeap,
-    CoverCache* cover_cache = nullptr, EngineWorkspace* workspace = nullptr);
+    Rng* rng = nullptr, CoverCache* cover_cache = nullptr,
+    EngineWorkspace* workspace = nullptr);
 
 }  // namespace cps

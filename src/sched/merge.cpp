@@ -246,7 +246,6 @@ void Merger::place(const WalkSchedule& w, TaskId t) {
 void Merger::fill_base_request(std::size_t cur, EngineRequest& base) {
   base.label = paths_[cur].label;
   base.active = active_of(cur);
-  base.selection = opts_.ready;
   base.locks.assign(fg_.task_count(), std::nullopt);
   // Unlocked tasks keep the relative order of the path's optimal schedule.
   const PathSchedule& orig = scheds_[cur];

@@ -45,8 +45,7 @@ enum class MergeExecution : std::uint8_t { kSerial };
 struct MergeOptions {
   PathSelection selection = PathSelection::kLongestFirst;
   std::uint64_t random_seed = 1;
-  /// Engine used for the schedule adjustments (heap in production;
-  /// linear-scan as the pre-heap reference for equivalence/ablation).
+  /// Kept only because perfbench/src/workloads.cpp sets it; ignored.
   ReadySelection ready = ReadySelection::kHeap;
   /// Kept only for perfbench/ (see MergeExecution); ignored.
   MergeExecution execution = MergeExecution::kSerial;

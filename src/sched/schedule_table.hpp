@@ -98,7 +98,7 @@ class ScheduleTable {
 
   /// Cell-wise equality (rows, order and every entry field) — the
   /// canonical check behind the "byte-identical tables" guarantees (tree
-  /// vs list walk, heap vs linear-scan engine). Ignores which FlatGraph
+  /// vs list walk, cache replay vs recompute). Ignores which FlatGraph
   /// instance is referenced.
   friend bool operator==(const ScheduleTable& a, const ScheduleTable& b);
   friend bool operator!=(const ScheduleTable& a, const ScheduleTable& b) {

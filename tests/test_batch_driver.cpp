@@ -90,21 +90,6 @@ TEST(BatchDriver, DifferentSeedsChangeResults) {
   EXPECT_NE(a, b);
 }
 
-TEST(BatchDriver, HeapAndLinearEnginesAgreeOnResults) {
-  BatchConfig config = small_config();
-  config.synthesis.merge.ready = ReadySelection::kHeap;
-  const BatchResult heap = run_batch(config);
-  config.synthesis.merge.ready = ReadySelection::kLinearScan;
-  const BatchResult linear = run_batch(config);
-  ASSERT_EQ(heap.items.size(), linear.items.size());
-  for (std::size_t i = 0; i < heap.items.size(); ++i) {
-    EXPECT_EQ(heap.items[i].ok, linear.items[i].ok);
-    EXPECT_EQ(heap.items[i].delta_m, linear.items[i].delta_m);
-    EXPECT_EQ(heap.items[i].delta_max, linear.items[i].delta_max);
-    EXPECT_EQ(heap.items[i].table_entries, linear.items[i].table_entries);
-  }
-}
-
 TEST(BatchDriver, TreeAndListSchedulingAgreeOnResults) {
   BatchConfig config = small_config();
   config.cpg.path_count = 12;

@@ -1,8 +1,9 @@
-// Equivalence of the heap ready-list engine with the original linear-scan
-// selection: across 200 seeded random CPGs, both engines must produce
-// byte-identical per-path schedules, on locked requests the same outcome
-// (slots, feasibility, offending lock), and the full co-synthesis flow
-// must produce identical schedule tables and delay reports.
+// Equivalence of the production engine with the independent linear-scan
+// reference (reference_engine.hpp): across 200 seeded random CPGs both
+// must produce identical per-path schedules, on locked requests the same
+// outcome (slots, feasibility, offending lock), and identical schedules
+// on a ladder CPG just below, at and past the 64-condition packed-mask
+// bound.
 #include <gtest/gtest.h>
 
 #include <iostream>
@@ -12,12 +13,20 @@
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
 #include "models/fig1.hpp"
+#include "reference_engine.hpp"
 #include "sched/driver.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 using namespace cps;
+using cps::testing::reference_run;
+
+EngineRequest path_request(const FlatGraph& fg, const AltPath& path,
+                           PriorityPolicy policy) {
+  return make_path_request(fg, path, policy, nullptr, ReadySelection::kHeap,
+                           nullptr);
+}
 
 void expect_identical_schedules(const FlatGraph& fg, const PathSchedule& a,
                                 const PathSchedule& b) {
@@ -35,13 +44,11 @@ TEST(HeapEquivalence, Fig1AllPaths) {
   const Cpg g = build_fig1_cpg();
   const FlatGraph fg = FlatGraph::expand(g);
   for (const AltPath& path : enumerate_paths(g)) {
-    const PathSchedule heap = schedule_path(
-        fg, path, PriorityPolicy::kCriticalPath, nullptr,
-        ReadySelection::kHeap);
-    const PathSchedule linear = schedule_path(
-        fg, path, PriorityPolicy::kCriticalPath, nullptr,
-        ReadySelection::kLinearScan);
-    expect_identical_schedules(fg, heap, linear);
+    const PathSchedule heap = schedule_path(fg, path);
+    const EngineResult linear = reference_run(
+        fg, path_request(fg, path, PriorityPolicy::kCriticalPath));
+    ASSERT_TRUE(linear.feasible) << linear.reason;
+    expect_identical_schedules(fg, heap, linear.schedule);
     cps::testing::expect_schedule_invariants(fg, heap,
                                              fg.active_tasks(path.label));
   }
@@ -67,10 +74,11 @@ TEST(HeapEquivalence, RandomCpgs200) {
     CoverCache cache;
     for (const AltPath& path : paths) {
       const PathSchedule heap = schedule_path(fg, path, policy, nullptr,
-                                              ReadySelection::kHeap, &cache);
-      const PathSchedule linear = schedule_path(
-          fg, path, policy, nullptr, ReadySelection::kLinearScan);
-      expect_identical_schedules(fg, heap, linear);
+                                              &cache);
+      const EngineResult linear =
+          reference_run(fg, path_request(fg, path, policy));
+      ASSERT_TRUE(linear.feasible) << linear.reason;
+      expect_identical_schedules(fg, heap, linear.schedule);
     }
     if (::testing::Test::HasFailure()) break;
   }
@@ -80,9 +88,9 @@ TEST(HeapEquivalence, RandomCpgs200) {
 // schedule with a random subset of its tasks locked, at their slots and
 // shifted by -3..+3 (clamped at 0), so the sweep reaches what the merge
 // produces rarely — zero-length locks, several locks at one instant on one
-// resource, broadcast locks and missed reservations. The heap engine's
-// lock cursors must reproduce the linear scan's outcome exactly: feasible
-// or not, code, offending lock and every slot. The second pass shares one
+// resource, broadcast locks and missed reservations. The engine's lock
+// cursors must reproduce the reference's outcome exactly: feasible or
+// not, code, offending lock and every slot. The second pass shares one
 // warm workspace across every heap run, so state left over from an
 // earlier run (a cursor not reset) would show.
 struct LockSweepCounts {
@@ -107,14 +115,13 @@ void sweep_locked_requests(EngineWorkspace* shared, LockSweepCounts& counts) {
     const FlatGraph fg = FlatGraph::expand(g);
     for (const AltPath& path : enumerate_paths(g)) {
       const EngineRequest base =
-          make_path_request(fg, path, PriorityPolicy::kCriticalPath, nullptr,
-                            ReadySelection::kHeap, nullptr);
+          path_request(fg, path, PriorityPolicy::kCriticalPath);
       const PathSchedule own = run_list_scheduler(fg, base).schedule;
       for (int variant = 0; variant < 4; ++variant) {
         const bool shifted = variant >= 2;
         const std::size_t keep_one_in = variant % 2 == 0 ? 2 : 4;
-        EngineRequest heap_req = base;
-        heap_req.locks.assign(fg.task_count(), std::nullopt);
+        EngineRequest req = base;
+        req.locks.assign(fg.task_count(), std::nullopt);
         std::map<std::pair<PeId, Time>, std::size_t> at;
         for (TaskId t = 0; t < fg.task_count(); ++t) {
           if (!own.scheduled(t) || rng.index(keep_one_in) != 0) continue;
@@ -122,19 +129,17 @@ void sweep_locked_requests(EngineWorkspace* shared, LockSweepCounts& counts) {
           Time start = slot.start;
           if (shifted) start += static_cast<Time>(rng.index(7)) - 3;
           if (start < 0) start = 0;
-          heap_req.locks[t] = TaskLock{start, slot.resource};
+          req.locks[t] = TaskLock{start, slot.resource};
           if (fg.task(t).duration == 0) ++counts.zero_duration_locks;
           if (fg.task(t).is_broadcast()) ++counts.broadcast_locks;
           if (fg.arch().pe(slot.resource).sequential()) {
             counts.same_start_pairs += at[{slot.resource, start}]++;
           }
         }
-        EngineRequest linear_req = heap_req;
-        linear_req.selection = ReadySelection::kLinearScan;
-        const EngineResult heap =
-            shared != nullptr ? run_list_scheduler(fg, heap_req, *shared)
-                              : run_list_scheduler(fg, heap_req);
-        const EngineResult linear = run_list_scheduler(fg, linear_req);
+        const EngineResult heap = shared != nullptr
+                                      ? run_list_scheduler(fg, req, *shared)
+                                      : run_list_scheduler(fg, req);
+        const EngineResult linear = reference_run(fg, req);
 
         ++counts.requests;
         ++(linear.feasible ? counts.feasible : counts.infeasible);
@@ -187,41 +192,51 @@ TEST(HeapEquivalence, LockedRequestsMatchLinearScan) {
   }
 }
 
-// Full-flow equivalence: identical schedule tables (entry-for-entry) and
-// identical delay reports on a smaller sample (the merge exercises the
-// engine with locks, where the heap must respect reservation windows).
-TEST(HeapEquivalence, FullFlowTablesMatch) {
-  for (std::uint64_t seed = 301; seed <= 330; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(seed);
-    const Architecture arch = generate_random_architecture(rng);
-    RandomCpgParams params;
-    params.process_count = 30;
-    params.path_count = 8;
-    const Cpg g = generate_random_cpg(arch, params, rng);
+// The packed-mask boundary. Guard masks cover condition ids below 64
+// (Cube::kPackedBits); a model with more conditions takes the engine's
+// time-matrix knowledge and cover-cache fallbacks instead. A ladder CPG —
+// the false arm of condition i leads to the disjunction of condition i+1,
+// processes alternate processors, the true arms run on hardware — has n
+// conditions and n + 1 paths; it is built just below, at and just above
+// the bound.
+Cpg ladder_cpg(std::size_t conditions) {
+  Architecture arch;
+  const PeId cpu[] = {arch.add_processor("cpu0"), arch.add_processor("cpu1")};
+  const PeId hw = arch.add_hardware("hw");
+  arch.add_bus("bus");
+  arch.set_cond_broadcast_time(1);
+  CpgBuilder b(arch);
+  ProcessId d = b.add_process("D0", cpu[0], 2);
+  for (std::size_t i = 0; i < conditions; ++i) {
+    const CondId c = b.add_condition("C" + std::to_string(i));
+    const ProcessId t = b.add_process("T" + std::to_string(i), hw,
+                                      static_cast<Time>(1 + i % 3));
+    const ProcessId next = b.add_process("D" + std::to_string(i + 1),
+                                         cpu[(i + 1) % 2],
+                                         static_cast<Time>(1 + i % 2));
+    b.add_cond_edge(d, t, Literal{c, true}, 2);
+    b.add_cond_edge(d, next, Literal{c, false}, 2);
+    d = next;
+  }
+  return b.build();
+}
 
-    CoSynthesisOptions heap_options;
-    heap_options.merge.ready = ReadySelection::kHeap;
-    CoSynthesisOptions linear_options;
-    linear_options.merge.ready = ReadySelection::kLinearScan;
-    const CoSynthesisResult a = schedule_cpg(g, heap_options);
-    const CoSynthesisResult b = schedule_cpg(g, linear_options);
-
-    EXPECT_EQ(a.delays.delta_m, b.delays.delta_m);
-    EXPECT_EQ(a.delays.delta_max, b.delays.delta_max);
-    EXPECT_EQ(a.table.entry_count(), b.table.entry_count());
-    ASSERT_EQ(a.flat->task_count(), b.flat->task_count());
-    for (TaskId t = 0; t < a.flat->task_count(); ++t) {
-      const auto& ra = a.table.row(t);
-      const auto& rb = b.table.row(t);
-      ASSERT_EQ(ra.size(), rb.size()) << a.flat->task(t).name;
-      for (std::size_t i = 0; i < ra.size(); ++i) {
-        EXPECT_EQ(ra[i].column, rb[i].column) << a.flat->task(t).name;
-        EXPECT_EQ(ra[i].start, rb[i].start) << a.flat->task(t).name;
-        EXPECT_EQ(ra[i].resource, rb[i].resource) << a.flat->task(t).name;
-      }
+TEST(HeapEquivalence, PackedMaskBoundaryLadder) {
+  for (const std::size_t conditions : {63u, 64u, 65u}) {
+    SCOPED_TRACE(std::to_string(conditions) + " conditions");
+    const Cpg g = ladder_cpg(conditions);
+    const FlatGraph fg = FlatGraph::expand(g);
+    EXPECT_EQ(fg.masks_enabled(), conditions <= 64);
+    const auto paths = enumerate_paths(g);
+    ASSERT_EQ(paths.size(), conditions + 1);
+    for (const AltPath& path : paths) {
+      const PathSchedule heap = schedule_path(fg, path);
+      const EngineResult linear = reference_run(
+          fg, path_request(fg, path, PriorityPolicy::kCriticalPath));
+      ASSERT_TRUE(linear.feasible) << linear.reason;
+      expect_identical_schedules(fg, heap, linear.schedule);
     }
-    if (::testing::Test::HasFailure()) break;
+    EXPECT_NO_THROW(schedule_cpg(g));  // validates the merged table
   }
 }
 

@@ -3,6 +3,7 @@
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
 #include "models/fig1.hpp"
+#include "reference_engine.hpp"
 #include "sched/list_scheduler.hpp"
 #include "test_util.hpp"
 
@@ -160,6 +161,7 @@ TEST(ListScheduler, ResourceReadiedMidPassIsVisitedInThatPass) {
   // after cpu1, so the same pass visits it and starts the transfer; the
   // broadcast, whose step of the pass is already over, waits for the bus.
   // Starting the broadcast first would delay the transfer and Z by one.
+  // The reference engine pins the same order.
   Architecture arch;
   const PeId cpu1 = arch.add_processor("cpu1");
   const PeId cpu2 = arch.add_processor("cpu2");
@@ -187,12 +189,16 @@ TEST(ListScheduler, ResourceReadiedMidPassIsVisitedInThatPass) {
   ASSERT_TRUE(bcast.has_value());
   const auto paths = enumerate_paths(g);
   ASSERT_EQ(paths.size(), 2u);
-  for (const ReadySelection selection :
-       {ReadySelection::kHeap, ReadySelection::kLinearScan}) {
+  for (const bool reference : {false, true}) {
     for (const AltPath& path : paths) {
-      SCOPED_TRACE(to_string(selection));
-      const PathSchedule s = schedule_path(
-          fg, path, PriorityPolicy::kCriticalPath, nullptr, selection);
+      SCOPED_TRACE(reference ? "reference" : "engine");
+      const EngineRequest req =
+          make_path_request(fg, path, PriorityPolicy::kCriticalPath, nullptr,
+                            ReadySelection::kHeap, nullptr);
+      const EngineResult res = reference ? testing::reference_run(fg, req)
+                                         : run_list_scheduler(fg, req);
+      ASSERT_TRUE(res.feasible) << res.reason;
+      const PathSchedule& s = res.schedule;
       expect_schedule_invariants(fg, s, fg.active_tasks(path.label));
       EXPECT_EQ(s.slot(transfer).start, 2);
       EXPECT_EQ(s.slot(transfer).resource, bus);
@@ -255,7 +261,8 @@ TEST(ListScheduler, InfeasibleLockIsReported) {
 
 TEST(ListScheduler, NegativeReservationIsRejected) {
   // Reservations come from table cells (non-negative); the clock starts
-  // at 0, so both engines reject one that could never be honored.
+  // at 0, so the engine and the reference reject one that could never be
+  // honored.
   Architecture arch;
   arch.add_processor("p");
   CpgBuilder b(arch);
@@ -271,11 +278,8 @@ TEST(ListScheduler, NegativeReservationIsRejected) {
                                     PriorityPolicy::kCriticalPath);
   req.locks.assign(fg.task_count(), std::nullopt);
   req.locks[fg.task_of_process(p1)] = TaskLock{-1, 0};
-  for (const ReadySelection sel :
-       {ReadySelection::kHeap, ReadySelection::kLinearScan}) {
-    req.selection = sel;
-    EXPECT_THROW(run_list_scheduler(fg, req), InvalidArgument);
-  }
+  EXPECT_THROW(run_list_scheduler(fg, req), InvalidArgument);
+  EXPECT_THROW(testing::reference_run(fg, req), InvalidArgument);
 }
 
 TEST(ListScheduler, UnlockedTasksFlowAroundReservations) {

@@ -383,9 +383,8 @@ MergeGolden merge_golden(const Cpg& g) {
   PathEnumerator en(g);
   while (auto path = en.next()) {
     paths.push_back(std::move(*path));
-    schedules.push_back(schedule_path(fg, paths.back(),
-                                      PriorityPolicy::kCriticalPath, nullptr,
-                                      ReadySelection::kHeap, &cache));
+    schedules.push_back(schedule_path(
+        fg, paths.back(), PriorityPolicy::kCriticalPath, nullptr, &cache));
   }
   const MergeResult r = merge_schedules(fg, paths, schedules);
   EXPECT_TRUE(r.ok) << r.error;

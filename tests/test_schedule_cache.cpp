@@ -8,8 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "io/store.hpp"
 #include "sched/batch_driver.hpp"
 #include "sched/schedule_cache.hpp"
 #include "support/json.hpp"
@@ -92,14 +94,40 @@ TEST(ScheduleCache, SecondRunReplaysEveryItemFromTheExactTier) {
 }
 
 TEST(ScheduleCache, ResultAffectingOptionChangesMissTheExactTier) {
-  BatchConfig config = small_config();
-  ScheduleCache cache;
-  run_json(config, 1, &cache);
-  // Same graphs, different result-affecting option: must not replay.
-  config.synthesis.merge.ready = ReadySelection::kLinearScan;
-  run_json(config, 1, &cache);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().insertions, 2 * config.count);
+  // One change per option field of the exact key (merge.trace, which
+  // writes to stderr, aside). Same graphs, one field changed alone: no
+  // item may replay.
+  using Change = void (*)(CoSynthesisOptions&);
+  const std::pair<const char*, Change> changes[] = {
+      {"path_priority",
+       [](CoSynthesisOptions& o) {
+         o.path_priority = PriorityPolicy::kTaskOrder;
+       }},
+      {"merge.selection",
+       [](CoSynthesisOptions& o) {
+         o.merge.selection = PathSelection::kShortestFirst;
+       }},
+      {"merge.random_seed",
+       [](CoSynthesisOptions& o) { o.merge.random_seed = 2; }},
+      {"validate", [](CoSynthesisOptions& o) { o.validate = false; }},
+      {"on_budget",
+       [](CoSynthesisOptions& o) { o.on_budget = BudgetAction::kBound; }},
+      {"path_scheduling",
+       [](CoSynthesisOptions& o) {
+         o.path_scheduling = PathScheduling::kList;
+       }},
+      {"max_paths", [](CoSynthesisOptions& o) { o.max_paths = 100; }},
+  };
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    BatchConfig config = small_config();
+    ScheduleCache cache;
+    run_json(config, 1, &cache);
+    change(config.synthesis);
+    run_json(config, 1, &cache);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().insertions, 2 * config.count);
+  }
 }
 
 TEST(ScheduleCache, WarmStoreSurvivesARestart) {
@@ -163,6 +191,44 @@ TEST(ScheduleCache, CorruptStoreEntriesDegradeToRecomputes) {
   ScheduleCache repaired(options);
   EXPECT_EQ(run_json(config, 1, &repaired), first);
   EXPECT_EQ(repaired.stats().store_hits, config.count);
+}
+
+TEST(ScheduleCache, ShortStorePayloadsDegradeToRecomputes) {
+  // A payload's fixed part is 273 bytes (u64 version, code byte, 32 u64
+  // scalars, u64 CSV length). Every shorter cut of a valid entry must
+  // read as undecodable and be recomputed, never read past its end.
+  BatchConfig config = small_config();
+  config.count = 1;
+  const std::string oracle = run_json(config, 1, nullptr);
+  TempDir dir;
+  ScheduleCacheOptions options;
+  options.store_dir = dir.path.string();
+  {
+    ScheduleCache cache(options);
+    ASSERT_EQ(run_json(config, 1, &cache), oracle);
+  }
+  KeyStoreOptions store_options;
+  store_options.root = options.store_dir;
+  KeyStore store(store_options);
+  const std::vector<std::string> keys = store.keys();
+  ASSERT_EQ(keys.size(), 1u);
+  // Store entries frame the payload: key length (u64 LE), key, payload.
+  const std::string blob = store.get(keys.front()).value();
+  ASSERT_GE(blob.size(), 8u);
+  std::uint64_t key_len = 0;
+  for (int i = 0; i < 8; ++i) {
+    key_len |= std::uint64_t{static_cast<unsigned char>(blob[i])} << (8 * i);
+  }
+  const std::string frame = blob.substr(0, 8 + key_len);
+  ASSERT_GT(blob.size() - frame.size(), 273u);
+  for (std::size_t cut = 0; cut <= 272; ++cut) {
+    SCOPED_TRACE("payload cut to " + std::to_string(cut) + " bytes");
+    store.put(keys.front(), frame + blob.substr(frame.size(), cut));
+    ScheduleCache reopened(options);
+    EXPECT_EQ(run_json(config, 1, &reopened), oracle);
+    EXPECT_EQ(reopened.stats().insertions, 1u);  // recomputed, replaced
+    if (::testing::Test::HasFailure()) break;
+  }
 }
 
 TEST(ScheduleCache, DigestCollisionsDegradeToMisses) {

@@ -38,7 +38,6 @@ int main(int argc, char** argv) try {
   cli.add_flag("nodes", "60", "processes per generated graph");
   cli.add_flag("paths", "10", "alternative paths per generated graph");
   cli.add_flag("seed", "1", "base random seed (request index offsets it)");
-  cli.add_flag("ready", "heap", "engine: heap | linear");
   if (!cli.parse(argc, argv)) return 0;
 
   ServerOptions options;
@@ -71,15 +70,6 @@ int main(int argc, char** argv) try {
       static_cast<std::uint64_t>(cli.get_count("seed", 0));
   options.workload.cpg.process_count = cli.get_count("nodes", 1);
   options.workload.cpg.path_count = cli.get_count("paths", 1);
-  const std::string ready = cli.get_string("ready");
-  if (ready == "linear") {
-    options.workload.synthesis.merge.ready = ReadySelection::kLinearScan;
-  } else if (ready == "heap") {
-    options.workload.synthesis.merge.ready = ReadySelection::kHeap;
-  } else {
-    std::cerr << "unknown --ready value: " << ready << '\n';
-    return 1;
-  }
 
   // SIGTERM/SIGINT become a readable fd the event loop polls; the drain
   // path is the same one a "shutdown" request takes.
