@@ -47,29 +47,25 @@ struct CellResult {
   double conditions_mean = 0.0;
 };
 
-/// Machine-readable dump (schema_version 4): config, per-cell means, and
-/// run totals. The config block names the per-path scheduling walk
-/// (tree/list), so committed trajectory points (BENCH_baseline.json,
-/// BENCH_pr4.json, ...) are self-describing instead of requiring
-/// CHANGES.md archaeology. Schema 3 dropped schema 2's
-/// threads/compare/resume/compare_resume config fields and the
-/// speculative/from-scratch columns with them, and renamed
-/// merge_serial_ms to merge_ms; schema 4 dropped config.engine (there is
-/// one engine). totals.sched_plus_merge_ms, which --baseline reads, is
-/// unchanged.
+/// Machine-readable dump (schema_version 5): config, per-cell means, and
+/// run totals. Schema 3 dropped schema 2's threads/compare/resume/
+/// compare_resume config fields and the speculative/from-scratch columns
+/// with them, and renamed merge_serial_ms to merge_ms; schema 4 dropped
+/// config.engine (there is one engine); schema 5 dropped config.sched
+/// (there is one per-path walk). totals.sched_plus_merge_ms, which
+/// --baseline reads, is unchanged.
 std::string cells_to_json(const CliParser& cli, std::size_t graphs_per_cell,
                           const std::vector<CellResult>& cells,
                           double total_merge_ms, double total_sched_ms) {
   JsonWriter w(2);
   w.begin_object();
-  w.field("schema_version", 4);
+  w.field("schema_version", 5);
   w.field("bench", "bench_fig6_merge_time");
   w.key("config").begin_object();
   w.field("graphs_per_cell", graphs_per_cell);
   w.field("seed", cli.get_int("seed"));
   w.field("nodes", cli.get_string("nodes"));
   w.field("paths", cli.get_string("paths"));
-  w.field("sched", cli.get_string("sched"));
   w.end_object();
   w.key("cells").begin_array();
   for (const CellResult& cell : cells) {
@@ -145,10 +141,6 @@ int main(int argc, char** argv) try {
   cli.add_flag("nodes", "60,80,120", "comma-separated node counts");
   cli.add_flag("paths", "10,12,18,24,32",
                "comma-separated merged-schedule counts");
-  cli.add_flag("sched", "tree",
-               "per-path scheduling walk: 'tree' (guard-trie chain with "
-               "checkpointed shared-prefix reuse, production default) or "
-               "'list' (independent from-scratch runs)");
   cli.add_flag("json-out", "",
                "write the measurements (stable schema) as JSON to FILE "
                "(- = stdout)");
@@ -158,12 +150,6 @@ int main(int argc, char** argv) try {
                "off)");
   if (!cli.parse(argc, argv)) return 0;
   const auto graphs_per_cell = cli.get_count("graphs", 1);
-  const std::string sched_name = cli.get_string("sched");
-  if (sched_name != "tree" && sched_name != "list") {
-    throw cps::ParseError("--sched must be 'tree' or 'list', got '" +
-                          sched_name + "'");
-  }
-  const bool tree_sched = sched_name == "tree";
   const std::vector<std::size_t> node_counts = cli.get_count_list("nodes");
   const std::vector<std::size_t> path_counts = cli.get_count_list("paths");
 
@@ -180,8 +166,6 @@ int main(int argc, char** argv) try {
   std::vector<CellResult> cells;
   bool merge_failed = false;
   WorkspaceStats merge_workspace;
-  std::size_t sched_resumes = 0;
-  std::size_t sched_resumed_steps = 0;
 
   // One engine workspace for all per-path scheduling, so buffer
   // allocations stay out of the timed regions.
@@ -207,13 +191,9 @@ int main(int argc, char** argv) try {
 
         // Enumeration streams, but its cost is excluded from the
         // list-scheduling figure (the paper quotes them separately).
-        // --sched tree chains one EngineHistory across the leaves (the
-        // driver's guard-trie serial walk); --sched list runs each path
-        // from scratch.
         std::vector<AltPath> alt;
         std::vector<PathSchedule> schedules;
         CoverCache cache;
-        EngineHistory sched_chain;
         PathEnumerator en(g);
         double cell_sched_ms = 0.0;
         while (auto path = en.next()) {
@@ -222,17 +202,11 @@ int main(int argc, char** argv) try {
           EngineRequest req = make_path_request(
               fg, alt.back(), PriorityPolicy::kCriticalPath, nullptr,
               ReadySelection::kHeap, &cache);
-          if (tree_sched) {
-            req.resume = EngineResume::kCheckpoint;
-            req.history = &sched_chain;
-          }
           EngineResult res = run_list_scheduler(fg, req, sched_ws);
           if (!res.feasible) {
             std::cerr << "ERROR: path unschedulable: " << res.reason << '\n';
             return 1;
           }
-          sched_resumes += res.resumed ? 1 : 0;
-          sched_resumed_steps += res.resumed_steps;
           schedules.push_back(std::move(res.schedule));
           cell_sched_ms += ms_since(t_sched);
         }
@@ -276,11 +250,6 @@ int main(int argc, char** argv) try {
   sched_time.render(human);
   human << "\nengine workspace (merges): " << merge_workspace.runs
         << " runs, " << merge_workspace.reuse_hits << " buffer reuses\n";
-  if (tree_sched) {
-    human << "per-path scheduling (guard-trie chain): " << sched_resumes
-          << " prefix resumes (" << sched_resumed_steps
-          << " steps skipped)\n";
-  }
 
   const std::string json_path = cli.get_string("json-out");
   if (!json_path.empty()) {

@@ -194,9 +194,9 @@ class FlatGraph {
   /// Process-unique graph id (assigned at expand time, carried by moves;
   /// two expansions of one Cpg get different ids). Lets state that
   /// outlives a single engine run — EngineWorkspace's private cover
-  /// cache, whose keys are Dnf pointers into this graph's tasks, and
-  /// EngineHistory — detect that a different graph arrived even when
-  /// heap addresses were reused. Strictly process-local.
+  /// cache, whose keys are Dnf pointers into this graph's tasks — detect
+  /// that a different graph arrived even when heap addresses were
+  /// reused. Strictly process-local.
   std::uint64_t uid() const { return uid_; }
 
  private:

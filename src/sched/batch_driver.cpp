@@ -116,13 +116,6 @@ void write_batch_item_json(JsonWriter& w, const BatchItem& item,
     w.key("workspace").begin_object();
     w.field("runs", item.workspace.runs);
     w.field("reuse_hits", item.workspace.reuse_hits);
-    w.field("resumes", item.workspace.resumes);
-    w.field("from_scratch", item.workspace.from_scratch);
-    w.field("resumed_steps", item.workspace.resumed_steps);
-    w.end_object();
-    w.key("path_tree").begin_object();
-    w.field("prefix_resumes", item.tree.prefix_resumes);
-    w.field("resumed_steps", item.tree.resumed_steps);
     w.end_object();
   }
   if (options.include_timing) {
@@ -162,12 +155,11 @@ std::uint64_t retry_backoff_ms(std::uint64_t seed, std::size_t attempt) {
 //
 // The exact key is the canonical graph encoding followed by every option
 // field that affects a *serialized item*: the schedule/table (priority
-// policy, merge order, seeds, path budget) and the walk mode, which
-// shapes the counters. Interrupt limits (deadline, step budget, cancel)
-// are deliberately absent — a tripped item is never ok, and only ok
-// items are cached. Index and seed are absent too: that is the point of
-// content addressing — the same graph requested under a different index
-// replays the same result.
+// policy, merge order, seeds, path budget). Interrupt limits (deadline,
+// step budget, cancel) are deliberately absent — a tripped item is never
+// ok, and only ok items are cached. Index and seed are absent too: that is
+// the point of content addressing — the same graph requested under a
+// different index replays the same result.
 
 void append_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -187,7 +179,7 @@ std::uint64_t read_u64(std::string_view in, std::size_t at) {
 std::string exact_key_encoding(const Cpg& g,
                                const CoSynthesisOptions& synthesis) {
   std::string key = canonical_encoding(g);
-  key.append("OPT4");
+  key.append("OPT5");
   const auto u8 = [&key](std::uint8_t v) {
     key.push_back(static_cast<char>(v));
   };
@@ -196,7 +188,6 @@ std::string exact_key_encoding(const Cpg& g,
   u8(synthesis.merge.trace ? 1 : 0);
   u8(synthesis.validate ? 1 : 0);
   u8(static_cast<std::uint8_t>(synthesis.on_budget));
-  u8(static_cast<std::uint8_t>(synthesis.path_scheduling));
   append_u64(key, synthesis.merge.random_seed);
   append_u64(key, effective_max_paths(synthesis));
   return key;
@@ -206,7 +197,7 @@ std::string exact_key_encoding(const Cpg& g,
 // patterns for exact round-trips) plus the rendered CSV. Identity fields
 // (index, seed) and attempt/timing fields are excluded — the former come
 // from the replaying request, the latter are wall-clock.
-constexpr std::uint64_t kPayloadVersion = 3;
+constexpr std::uint64_t kPayloadVersion = 4;
 
 std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   std::string out;
@@ -245,12 +236,6 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
   append_u64(out, item.cover_cache.resets);
   append_u64(out, item.workspace.runs);
   append_u64(out, item.workspace.reuse_hits);
-  append_u64(out, item.workspace.resumes);
-  append_u64(out, item.workspace.from_scratch);
-  append_u64(out, item.workspace.resumed_steps);
-  append_u64(out, item.workspace.checkpoints);
-  append_u64(out, item.tree.prefix_resumes);
-  append_u64(out, item.tree.resumed_steps);
   append_u64(out, csv.size());
   out.append(csv);
   return out;
@@ -259,8 +244,8 @@ std::string encode_cached_item(const BatchItem& item, std::string_view csv) {
 bool decode_cached_item(std::string_view in, BatchItem* item,
                         std::string* csv) {
   // Every read is bounds-checked, so the shortest payload accepted is
-  // exactly the fields read: u64 version, code byte, 32 u64 scalars and
-  // the u64 CSV length (273 bytes). A short payload reads as zeros and is
+  // exactly the fields read: u64 version, code byte, 26 u64 scalars and
+  // the u64 CSV length (225 bytes). A short payload reads as zeros and is
   // rejected below.
   std::size_t at = 0;
   bool truncated = false;
@@ -310,12 +295,6 @@ bool decode_cached_item(std::string_view in, BatchItem* item,
   item->cover_cache.resets = u64();
   item->workspace.runs = u64();
   item->workspace.reuse_hits = u64();
-  item->workspace.resumes = u64();
-  item->workspace.from_scratch = u64();
-  item->workspace.resumed_steps = u64();
-  item->workspace.checkpoints = u64();
-  item->tree.prefix_resumes = u64();
-  item->tree.resumed_steps = u64();
   const std::uint64_t csv_len = u64();
   if (truncated || in.size() - at != csv_len) return false;
   csv->assign(in.substr(at));
@@ -387,27 +366,28 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       // the post-override options (what actually runs), so a hit replays
       // the recorded item + CSV without touching the engine. The cache
       // verifies the full key encoding byte-for-byte — a digest collision
-      // degrades to a miss, never to a wrong result.
+      // degrades to a miss, never to a wrong result — and counts a hit
+      // only once the payload decodes; an undecodable one (foreign
+      // writer?) is a miss, recomputed and replaced below.
       std::string cache_key;
       Digest128 cache_digest;
       if (config.cache != nullptr) {
         cache_key = exact_key_encoding(g, synthesis);
         cache_digest = digest_of(cache_key);
-        std::string payload;
-        if (config.cache->lookup(cache_digest, cache_key, &payload)) {
-          std::string csv;
-          BatchItem cached;
-          if (decode_cached_item(payload, &cached, &csv)) {
-            cached.index = item.index;
-            cached.seed = item.seed;
-            cached.attempts = item.attempts;
-            cached.retries = item.retries;
-            cached.backoff_ms = item.backoff_ms;
-            if (table_csv != nullptr) *table_csv = std::move(csv);
-            cached.total_ms = ms_between(t_begin, clock_type::now());
-            return cached;
-          }
-          // Undecodable payload (foreign writer?): recompute and replace.
+        std::string csv;
+        BatchItem cached;
+        const auto decodes = [&](std::string_view payload) {
+          return decode_cached_item(payload, &cached, &csv);
+        };
+        if (config.cache->lookup(cache_digest, cache_key, nullptr, decodes)) {
+          cached.index = item.index;
+          cached.seed = item.seed;
+          cached.attempts = item.attempts;
+          cached.retries = item.retries;
+          cached.backoff_ms = item.backoff_ms;
+          if (table_csv != nullptr) *table_csv = std::move(csv);
+          cached.total_ms = ms_between(t_begin, clock_type::now());
+          return cached;
         }
       }
 
@@ -429,7 +409,6 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       item.merge = result.merge_stats;
       item.cover_cache = result.cover_cache;
       item.workspace = result.workspace;
-      item.tree = result.tree;
       item.expand_ms = result.timings.expand_ms;
       item.enumerate_ms = result.timings.enumerate_ms;
       item.schedule_ms = result.timings.schedule_ms;
@@ -537,8 +516,6 @@ std::string batch_result_to_json(const BatchResult& result,
   w.field("processes", result.config.cpg.process_count);
   w.field("paths", result.config.cpg.path_count);
   w.field("distribution", to_string(result.config.cpg.distribution));
-  w.field("path_scheduling",
-          to_string(result.config.synthesis.path_scheduling));
   w.field("path_selection",
           to_string(result.config.synthesis.merge.selection));
   w.field("validate", result.config.synthesis.validate);

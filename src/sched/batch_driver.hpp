@@ -108,9 +108,6 @@ struct BatchItem {
   /// contract as cover_cache: each item runs on its own workspace, so the
   /// counters are a pure function of the seed).
   WorkspaceStats workspace;
-  /// Guard-trie scheduling counters (PathScheduling::kTree); a pure
-  /// function of the seed too.
-  PathTreeStats tree;
 
   // Wall-clock per pipeline stage (milliseconds).
   double expand_ms = 0.0;
@@ -209,10 +206,10 @@ struct BatchJsonOptions {
   bool include_timing = true;
   /// Include the per-item array, not just config + summary.
   bool include_items = true;
-  /// Include the per-item cover_cache, workspace and path_tree counter
-  /// blocks. They are a pure function of the seed for the default cold
-  /// per-item workspaces, but with a shared WorkspacePool the workspace
-  /// block reflects warm-lease luck — disable when comparing a pooled run
+  /// Include the per-item cover_cache and workspace counter blocks. They
+  /// are a pure function of the seed for the default cold per-item
+  /// workspaces, but with a shared WorkspacePool the workspace block
+  /// reflects warm-lease luck — disable when comparing a pooled run
   /// against a cold oracle byte-for-byte (the service's determinism
   /// contract).
   bool include_reuse_counters = true;

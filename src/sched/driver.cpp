@@ -10,14 +10,6 @@
 
 namespace cps {
 
-const char* to_string(PathScheduling s) {
-  switch (s) {
-    case PathScheduling::kList: return "list";
-    case PathScheduling::kTree: return "tree";
-  }
-  return "?";
-}
-
 std::size_t effective_max_paths(const CoSynthesisOptions& options) {
   std::size_t max = options.max_paths;
   if (options.budget != nullptr && options.budget->max_paths != 0 &&
@@ -48,7 +40,6 @@ double ms_between(clock_type::time_point a, clock_type::time_point b) {
 struct ScheduleStage {
   std::vector<AltPath> paths;
   std::vector<PathSchedule> schedules;
-  PathTreeStats tree;
   WorkspaceStats workspace;
   CoverCacheStats cover_cache;
   double enumerate_ms = 0.0;
@@ -70,14 +61,10 @@ void check_path_result(const EngineResult& res) {
   CPS_ASSERT(false, "validated CPG path must be schedulable: " + res.reason);
 }
 
-/// The per-path walk: the retained path-list reference (one from-scratch
-/// engine run per path) or the tree chain (every leaf resumes from the
-/// previous leaf's checkpoints at their shared guard prefix — consecutive
-/// DFS leaves share the longest prefix, so one rolling EngineHistory is
-/// the optimal donor chain).
+/// The per-path walk (paper §4 step 1): one from-scratch engine run per
+/// alternative path, in enumeration order.
 ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
                                  const CoSynthesisOptions& options, Rng& rng) {
-  const bool tree = options.path_scheduling == PathScheduling::kTree;
   ScheduleStage out;
   CoverCache cover_cache;
   // Workspace resolution: an explicit external workspace wins, then a
@@ -100,11 +87,6 @@ ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
   // Stage-level budget poll between paths (belt to the engine's per-step
   // polling: enumeration itself is engine-free work).
   BudgetPoll poll(options.budget);
-  // Demand-driven recording: the engine starts per-step checkpointing
-  // only once a sibling leaf demonstrates that resuming is plausible, so
-  // tries whose sibling priorities always diverge at t=0 pay no recording
-  // overhead at all.
-  EngineHistory chain;
   PathEnumerator enumerator(g);
   while (true) {
     {
@@ -123,8 +105,7 @@ ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
         throw_path_budget(max_paths);
       }
       // Bounded coverage: drop the over-budget path and stop — the kept
-      // prefix is a pure function of the enumeration order, so bounded
-      // results are the same in both modes.
+      // prefix is a pure function of the enumeration order.
       out.truncated = true;
       break;
     }
@@ -133,17 +114,9 @@ ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
     EngineRequest req =
         make_path_request(flat, out.paths.back(), options.path_priority,
                           &rng, ReadySelection::kHeap, &cover_cache);
-    if (tree) {
-      req.resume = EngineResume::kCheckpoint;
-      req.history = &chain;
-    }
     req.budget = options.budget;
     EngineResult res = run_list_scheduler(flat, req, *workspace);
     check_path_result(res);
-    if (res.resumed) {
-      ++out.tree.prefix_resumes;
-      out.tree.resumed_steps += res.resumed_steps;
-    }
     out.schedules.push_back(std::move(res.schedule));
     out.schedule_ms += ms_between(s0, clock_type::now());
   }
@@ -248,7 +221,6 @@ CoSynthesisResult schedule_cpg(const Cpg& g,
                            stage.cover_cache,
                            stage.workspace,
                            merged.workspace,
-                           stage.tree,
                            std::move(delays),
                            timings,
                            status,

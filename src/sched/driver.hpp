@@ -29,29 +29,6 @@ class WorkspacePool;
 /// entries.
 enum class BudgetAction : std::uint8_t { kThrow, kBound };
 
-/// How the per-path scheduling stage walks the alternative-path set.
-///
-/// kTree (production) schedules the *guard trie*: leaves are visited in
-/// the same depth-first order as the path list, but each leaf's engine
-/// run resumes from a checkpoint of the previous leaf's run at their
-/// shared guard prefix (EngineHistory). Schedules, the merged table and
-/// batch JSON are byte-identical to kList.
-///
-/// kList is the retained streaming path-list reference: one from-scratch
-/// engine run per path, in enumeration order.
-enum class PathScheduling : std::uint8_t { kList, kTree };
-
-const char* to_string(PathScheduling s);
-
-/// Counters of the guard-trie scheduling stage: a pure function of the
-/// graph and options. Zero in kList mode.
-struct PathTreeStats {
-  /// Leaf engine runs resumed from a shared-prefix checkpoint.
-  std::size_t prefix_resumes = 0;
-  /// Committed time steps those resumes skipped (vs from-scratch).
-  std::size_t resumed_steps = 0;
-};
-
 struct CoSynthesisOptions {
   PriorityPolicy path_priority = PriorityPolicy::kCriticalPath;
   MergeOptions merge;
@@ -74,8 +51,8 @@ struct CoSynthesisOptions {
   /// every layer: the engine main loop per step, the merge walk per
   /// decision-tree node, and the driver between paths. A trip throws the
   /// matching typed error (CancelledError, DeadlineExceededError,
-  /// BudgetExceededError); workspaces and histories stay reusable and a
-  /// subsequent clean run is byte-identical to a never-interrupted one.
+  /// BudgetExceededError); workspaces stay reusable and a subsequent
+  /// clean run is byte-identical to a never-interrupted one.
   RunBudget* budget = nullptr;
   /// Optional externally owned engine workspace for the per-path
   /// scheduling loop: callers that co-synthesize repeatedly on one thread
@@ -92,10 +69,6 @@ struct CoSynthesisOptions {
   /// WorkspaceStats reuse counters reflect the warm start (see
   /// workspace_pool.hpp).
   WorkspacePool* workspace_pool = nullptr;
-  /// Per-path scheduling strategy (see PathScheduling). Tree mode is the
-  /// production default; the path-list reference is retained for
-  /// equivalence tests and ablation.
-  PathScheduling path_scheduling = PathScheduling::kTree;
   /// Materialize `CoSynthesisResult::paths` / `path_schedules`. They are
   /// always *built* (the merge consumes them) but with keep_paths off the
   /// result drops them before returning — thousand-graph batches stop
@@ -137,8 +110,6 @@ struct CoSynthesisResult {
   /// Engine-workspace counters of the merge's adjustment runs (see
   /// MergeResult::workspace).
   WorkspaceStats merge_workspace;
-  /// Guard-trie scheduling counters. Zero under PathScheduling::kList.
-  PathTreeStats tree;
   DelayReport delays;
   StageTimings timings;
   /// kOk for a complete result; kPathBudgetExceeded for a successful

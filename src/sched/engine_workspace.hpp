@@ -1,5 +1,4 @@
-// EngineWorkspace: reusable storage for the list-scheduler engine, plus
-// the checkpoint machinery behind incremental prefix rescheduling.
+// EngineWorkspace: reusable storage for the list-scheduler engine.
 //
 // The engine deliberately runs its hot loops against engine-owned storage
 // (borrowing the caller's vectors measured ~3x slower per-path run, see
@@ -10,30 +9,6 @@
 // runs so repeated `run_list_scheduler` calls only re-`assign` into warm
 // capacity. One workspace serves one thread: the driver's per-path walk
 // and the merge walk each own one.
-//
-// On top of the workspace, EngineHistory records a *checkpoint stream*
-// during a lock-free run: the request-independent engine state at (a
-// thinned subset of) the committed time steps. A later run on the same
-// graph with a different *guard assignment* (different path label, and
-// with it different active sets and priorities) can then resume from the
-// latest checkpoint that provably precedes any influence of that
-// difference, instead of rescheduling from t=0 — the guard-trie win for
-// per-path scheduling, where sibling alternative paths replay identically
-// until the first divergent condition value becomes known on some
-// resource (knowledge rule), so a leaf resumes from the previous leaf's
-// checkpoint at their shared trie prefix.
-//
-// A checkpoint deliberately stores no engine state at all — just a
-// position into the run's append-only *start-event log* (schedule slots
-// are write-once, so the whole request-independent state at a committed
-// step is a pure function of the log prefix). Restoring replays that
-// prefix into freshly initialized state and rebuilds everything
-// request-dependent — pending counts, ready heaps, act times, knowledge
-// words — from the *new* request, which is what makes one stream
-// servable to requests with different active sets and keeps recording
-// cost near zero. Resumed runs are byte-identical to from-scratch runs
-// (equivalence-tested); the knob is EngineResume with kFromScratch
-// retained as the reference.
 #pragma once
 
 #include <cstdint>
@@ -58,16 +33,14 @@ struct TaskLock {
 /// make_path_request's parameter); nothing reads it. There is one engine.
 enum class ReadySelection : std::uint8_t { kHeap };
 
-/// Whether an engine run may resume from a recorded checkpoint stream.
-///
-/// kCheckpoint (production) resumes a lock-free request when its guard
-/// assignment provably cannot influence a recorded prefix; otherwise it
-/// falls back to a full run (and re-records). kFromScratch ignores any
-/// history entirely — the reference behavior, retained for equivalence
-/// tests and ablation.
-enum class EngineResume : std::uint8_t { kFromScratch, kCheckpoint };
+/// Kept only because perfbench/src/layers.cpp compiles against it
+/// (EngineRequest::resume); nothing reads it. Every run starts from
+/// scratch.
+enum class EngineResume : std::uint8_t { kCheckpoint };
 
-const char* to_string(EngineResume r);
+/// Kept only because perfbench/src/layers.cpp declares one and hands it
+/// to EngineRequest::history; nothing reads it.
+struct EngineHistory {};
 
 /// Max-heap entry of the per-resource ready list: highest priority first,
 /// lowest task id on ties.
@@ -91,22 +64,12 @@ struct WorkspaceStats {
   std::size_t runs = 0;
   /// Runs that found warm buffers from an earlier run (capacity reuse).
   std::size_t reuse_hits = 0;
-  /// Checkpoint-mode runs resumed from a recorded checkpoint.
+  /// Always 0. Kept only because perfbench/src/layers.cpp reads it.
   std::size_t resumes = 0;
-  /// Checkpoint-mode runs that found no usable checkpoint.
-  std::size_t from_scratch = 0;
-  /// Committed time steps skipped by resuming (vs rescheduling from t=0).
-  std::size_t resumed_steps = 0;
-  /// Checkpoints recorded into histories by runs on this workspace.
-  std::size_t checkpoints = 0;
 
   WorkspaceStats& operator+=(const WorkspaceStats& o) {
     runs += o.runs;
     reuse_hits += o.reuse_hits;
-    resumes += o.resumes;
-    from_scratch += o.from_scratch;
-    resumed_steps += o.resumed_steps;
-    checkpoints += o.checkpoints;
     return *this;
   }
 
@@ -115,99 +78,7 @@ struct WorkspaceStats {
   WorkspaceStats& operator-=(const WorkspaceStats& o) {
     runs -= o.runs;
     reuse_hits -= o.reuse_hits;
-    resumes -= o.resumes;
-    from_scratch -= o.from_scratch;
-    resumed_steps -= o.resumed_steps;
-    checkpoints -= o.checkpoints;
     return *this;
-  }
-};
-
-/// One committed task start of a recorded run. Schedule slots are
-/// write-once (placed at start, never modified), so the whole
-/// request-independent engine state at any committed step is a pure
-/// function of the *prefix* of the start-event log: started/finished
-/// flags, schedule slots, resource occupancy, the knowledge words (a
-/// condition is known where its disjunction/broadcast completions put
-/// it), and — together with the resuming request — every derived
-/// structure (pending counts, ready heaps, act times, lock lists).
-struct StartEvent {
-  TaskId task = 0;
-  Time start = 0;
-  Time end = 0;
-  PeId resource = 0;
-};
-
-/// A checkpoint is just a position in the start-event log plus the clock:
-/// recording one costs three scalar stores, and restore replays the log
-/// prefix into freshly initialized engine state. The replay is what lets
-/// one checkpoint stream serve requests that differ in their whole guard
-/// assignment (active sets and priorities included) — nothing
-/// request-dependent is ever stored.
-struct EngineCheckpoint {
-  Time now = 0;
-  std::size_t steps = 0;    ///< committed steps up to and incl. this one
-  std::size_t log_pos = 0;  ///< EngineHistory::log entries committed
-};
-
-/// Recorded lock-free run of one (graph, label, active, priority) request:
-/// the outcome, per-task first-startable times, per-condition first-known
-/// times, and a thinned stream of checkpoints. Owned by the caller and
-/// handed to the engine via EngineRequest::history; the engine validates
-/// before trusting it and re-records on every lock-free run. A later
-/// lock-free run may resume when only its guard assignment diverged (the
-/// tree driver chains one history across the leaves of the guard trie).
-/// Not thread-safe: one history belongs to one thread at a time.
-struct EngineHistory {
-  /// Upper bound on live checkpoints; when reached, every second one is
-  /// dropped and the recording stride doubles (log-structured thinning),
-  /// so long runs keep coarse early coverage plus dense recent coverage.
-  /// Checkpoints are log positions (three scalars each), so the bound is
-  /// about keeping the restore search short, not about memory.
-  static constexpr std::size_t kMaxCheckpoints = 64;
-
-  bool valid = false;
-
-  // Identity of the recorded request. The graph is identified by
-  // FlatGraph::uid(), like EngineWorkspace's cover cache: the driver's
-  // resume chain lives for one schedule_cpg call, so "same graph" means
-  // "same expansion". A second expansion of the same Cpg gets a new uid,
-  // and a history handed to it runs from scratch. The engine verifies the
-  // uid and task count before resuming.
-  std::uint64_t graph_uid = 0;
-  std::size_t task_count = 0;
-  Cube label;
-  std::vector<char> active;
-  std::vector<std::int64_t> priority;
-  bool enforce_knowledge = true;
-
-  // The recorded run.
-  /// Per task: time its last active predecessor completed (the first
-  /// moment it could possibly start); Time max when it never happened.
-  std::vector<Time> act;
-  /// Per condition: earliest time its value became known on *any*
-  /// resource during the recorded run (Time max when it never did).
-  /// Drives the guard-divergence analysis: a task whose activity differs
-  /// between two guard assignments cannot start before some divergent
-  /// condition is known on its resource.
-  std::vector<Time> cond_known;
-  bool feasible = false;
-
-  // Start-event log of the recorded run (committed task starts in start
-  // order) and the checkpoint stream of positions into it. A resume
-  // truncates both to the restored prefix; the continuation re-appends.
-  std::vector<StartEvent> log;
-  std::vector<EngineCheckpoint> ckpts;
-  std::size_t ckpt_count = 0;
-  std::size_t stride = 1;
-  std::size_t since_record = 0;
-
-  void invalidate() {
-    valid = false;
-    log.clear();
-    ckpt_count = 0;
-    stride = 1;
-    since_record = 0;
   }
 };
 
@@ -249,7 +120,9 @@ struct EngineWorkspace {
   std::vector<char> finished;
   std::vector<Time> busy_until;
   std::vector<TaskId> running;
-  std::vector<std::vector<Time>> known;
+  /// Per resource, the label's literals known there (more than 64
+  /// conditions only; the knowledge words cover the rest).
+  std::vector<Cube> known;
   std::vector<char> seq;
 
   // Knowledge words, ready structures and lock events.
@@ -268,10 +141,6 @@ struct EngineWorkspace {
   std::vector<TaskId> lock_order;
   std::vector<std::vector<TaskId>> locks_on_res;
   std::vector<std::size_t> lock_res_next;
-
-  // Checkpoint support.
-  std::vector<Time> act;
-  std::vector<Time> cond_known;
 
   // Step-local scratch (swap targets so the per-step rebuild of the
   // pending/running lists stops allocating).

@@ -13,13 +13,6 @@ namespace {
 
 constexpr Time kInf = std::numeric_limits<Time>::max();
 
-bool any_lock(const std::vector<std::optional<TaskLock>>& locks) {
-  for (const auto& l : locks) {
-    if (l.has_value()) return true;
-  }
-  return false;
-}
-
 /// The engine proper: lazy per-resource ready heaps, guard masks and
 /// memoized covers. All mutable state lives in the EngineWorkspace so
 /// repeated runs reuse capacity; the Engine object itself is a cheap
@@ -54,9 +47,7 @@ class Engine {
         bcast_pending_(ws.bcast_pending),
         lock_order_(ws.lock_order),
         locks_on_res_(ws.locks_on_res),
-        lock_res_next_(ws.lock_res_next),
-        act_(ws.act),
-        cond_known_(ws.cond_known) {}
+        lock_res_next_(ws.lock_res_next) {}
 
   EngineResult run();
 
@@ -79,10 +70,10 @@ class Engine {
                      PeId res) const;
   bool guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
                       PeId res) const;
-  /// Conditions known on `res` (restricted to `mention` in masks mode) as
-  /// a context cube for the exact fallback checks.
+  /// Conditions known on `res`, restricted to `mention`, as a context
+  /// cube for the exact fallback checks in masks mode (past 64
+  /// conditions known_[res] is that cube).
   Cube known_context(PeId res, std::uint64_t mention) const;
-  Cube known_context_full(PeId res) const;
 
   /// Does [now, now+dur) avoid every unstarted lock reservation on `res`?
   bool fits(PeId res, Time now, Time dur) const;
@@ -97,18 +88,6 @@ class Engine {
   /// per-resource lists, and reset their cursors.
   void init_lock_order();
 
-  // ---- checkpoint resume (EngineResume::kCheckpoint).
-
-  bool history_guard_matches(const EngineHistory& h) const;
-  /// Earliest time the new request's guard assignment (label, active set,
-  /// priorities) can influence the recorded run: every checkpoint strictly
-  /// before it restores a state the new run provably reaches unchanged
-  /// (see the prefix-equality argument below).
-  Time guard_divergence_limit(const EngineHistory& h) const;
-  void restore_checkpoint(const EngineHistory& h, const EngineCheckpoint& ck);
-  void maybe_record(Time now, std::size_t steps);
-  void finalize_history(bool feasible);
-
   // ---- events.
 
   /// After the fixpoint at `now`: the lowest-id lock reserved at or before
@@ -118,23 +97,19 @@ class Engine {
   Time next_lock_start() const;
   void start_task(TaskId t, Time now, PeId res);
   void complete_task(TaskId t, Time now);
-  /// Record that `c`'s value became known on `res` at `when` (knowledge
-  /// words / time matrix, first-known tracking). Shared by live
-  /// completions and the checkpoint-restore replay.
-  void learn(PeId res, CondId c, Time when);
+  /// Record that `c`'s value is now known on `res` (knowledge words, or
+  /// the known cube past 64 conditions).
+  void learn(PeId res, CondId c);
   EngineResult infeasible(TaskId t, const std::string& reason);
   /// Result of a budget trip (cancel/deadline/step budget): infeasible
-  /// with the interrupt code, a partially recorded history invalidated
-  /// (a truncated run must never pose as a recorded outcome). The
-  /// workspace needs no cleanup — every run re-initializes it.
+  /// with the interrupt code. The workspace needs no cleanup — every run
+  /// re-initializes it.
   EngineResult interrupted(ErrorCode code);
 
   const FlatGraph& fg_;
   const EngineRequest& req_;  ///< validated, then snapshotted into ws_
   EngineWorkspace& ws_;
   CoverCache* cache_ = nullptr;
-  bool recording_ = false;     ///< history metadata maintained this run
-  bool record_ckpts_ = false;  ///< per-step checkpoints recorded this run
 
   // Workspace buffers under their historical names. The engine
   // deliberately runs its hot loops against these engine-owned snapshots:
@@ -156,9 +131,9 @@ class Engine {
   std::vector<Time>& busy_until_;
   // Running tasks (for event extraction and completion processing).
   std::vector<TaskId>& running_;
-  // known_[res][cond]: time from which `cond` is known on `res` (kInf if
-  // not yet known).
-  std::vector<std::vector<Time>>& known_;
+  // known_[res]: the label's literals known on `res`, as a cube (models
+  // with more than 64 conditions only; see use_masks_).
+  std::vector<Cube>& known_;
 
   // Per-resource "executes one task at a time" flags, cached once per run
   // (Architecture::pe() bounds-checks on every call; the hot loops ask
@@ -169,7 +144,7 @@ class Engine {
 
   // Knowledge doubles as per-resource bitmasks over the path label so
   // guard coverage is a couple of AND/CMP instructions. When the masks
-  // are exact (condition count <= 64) the time matrix known_ is not
+  // are exact (condition count <= 64) the known cubes known_ are not
   // maintained at all.
   bool use_masks_ = false;
   std::vector<std::uint64_t>& known_pos_;  // by PeId
@@ -196,15 +171,6 @@ class Engine {
   std::size_t lock_next_ = 0;
   std::vector<std::vector<TaskId>>& locks_on_res_;  // by PeId
   std::vector<std::size_t>& lock_res_next_;         // by PeId
-
-  // act_[t]: time the last active predecessor of t completed — the first
-  // moment t could possibly start (kInf if it never happened). Drives the
-  // checkpoint divergence analysis.
-  std::vector<Time>& act_;
-  // cond_known_[c]: earliest time condition c became known on any
-  // resource (kInf if never; maintained only while recording). Drives the
-  // guard-divergence analysis.
-  std::vector<Time>& cond_known_;
 };
 
 // --------------------------------------------------------------------------
@@ -215,21 +181,6 @@ Cube Engine::known_context(PeId res, std::uint64_t mention) const {
   // the context is two masked copies — no literal vector, no allocation.
   return Cube::from_masks(known_pos_[res] & mention,
                           known_neg_[res] & mention);
-}
-
-Cube Engine::known_context_full(PeId res) const {
-  // Fallback for models with more than 64 conditions: rebuild the known
-  // cube from the time matrix (any already-recorded time is in the past).
-  Cube known_cube;
-  for (CondId c = 0; c < fg_.cpg().conditions().size(); ++c) {
-    const auto value = label_.value_of(c);
-    if (!value) continue;
-    if (known_[res][c] == kInf) continue;
-    auto next = known_cube.conjoin(Literal{c, *value});
-    CPS_ASSERT(next.has_value(), "known cube cannot contradict itself");
-    known_cube = std::move(*next);
-  }
-  return known_cube;
 }
 
 bool Engine::guard_covered(const Dnf& guard, const TaskGuardInfo& info,
@@ -248,7 +199,7 @@ bool Engine::guard_covered(const Dnf& guard, const TaskGuardInfo& info,
     }
     return cache_->covered(guard, known_context(res, info.mention));
   }
-  return cache_->covered(guard, known_context_full(res));
+  return cache_->covered(guard, known_[res]);
 }
 
 bool Engine::guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
@@ -262,7 +213,7 @@ bool Engine::guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
     }
     return true;
   }
-  return cache_->disjoint(guard, known_context_full(res));
+  return cache_->disjoint(guard, known_[res]);
 }
 
 bool Engine::knowledge_ok(TaskId t, PeId res) const {
@@ -433,226 +384,6 @@ bool Engine::try_starts(Time now) {
 }
 
 // --------------------------------------------------------------------------
-// Checkpoint resume.
-//
-// A recorded run A (checkpoint stream, per-task first-startable times
-// act, per-condition first-known times cond_known) and a new run B on the
-// same graph that differs in its *guard assignment* — a different path
-// label, and with it different active sets and priorities (lock sets
-// empty on both sides, knowledge rule enforced) — replay identically for
-// a while. Two complete path labels of one graph decide at least one
-// condition oppositely; call those the divergent conditions. Then through
-// any T strictly before both (a) the first time any divergent condition
-// became known on any resource in run A (cond_known) and (b) the
-// first-startable time act(t) of any task active in both runs with
-// differing priorities, the runs replay identically:
-//
-//  * a task whose activity differs has a guard whose truth value differs
-//    under the two labels, so covering it (to start it) or refuting it
-//    (to pass the conjunction check) requires a known context that
-//    decides some divergent condition — if every known value were common
-//    to both labels, the guard would evaluate identically under both.
-//    Conditions become known only at task completions, recorded in
-//    cond_known, so before (a) no differing-activity task has started on
-//    either run, and none of its knock-on effects (resource occupancy,
-//    completions, knowledge updates) exists;
-//  * a conjunction task active in both runs whose predecessor activity
-//    differs is blocked by the same argument (the conjunction check must
-//    decide every guarded predecessor's activity). Non-conjunction tasks
-//    cannot have predecessors of differing activity while active in both
-//    runs — validated CPGs give non-conjunction processes guards that
-//    imply every predecessor's guard — and guard_divergence_limit refuses
-//    to resume if one appears anyway;
-//  * a task active in both runs with equal priorities behaves
-//    identically; with differing priorities it can steer a ready-heap pop
-//    from the moment it first becomes ready, bounded by (b).
-//
-// Checkpoints store only request-independent state (schedule, flags,
-// occupancy, knowledge); restore_checkpoint rebuilds everything
-// request-dependent — pending counts, dep-ready/act times, ready heaps,
-// the broadcast list — from the *resuming* request. Under those bounds,
-// restoring A's checkpoint at T and continuing with B's request is
-// byte-identical to running B from scratch (equivalence-tested in
-// test_list_scheduler / test_path_tree). Requests with locks (the merge's
-// rule-3 adjustments) never touch a history: they run from scratch.
-
-bool Engine::history_guard_matches(const EngineHistory& h) const {
-  // Same graph, knowledge rule enforced — the divergence analysis leans
-  // on guarded tasks being unable to start before their divergent
-  // conditions are known. A feasible recorded run is also required:
-  // per-path runs of validated CPGs never deadlock, so an infeasible
-  // record means malformed input (e.g. a hand-corrupted active set) where
-  // the equivalence reasoning has no footing.
-  return h.graph_uid == fg_.uid() &&
-         h.task_count == fg_.task_count() &&
-         h.feasible && h.enforce_knowledge && req_.enforce_knowledge &&
-         h.cond_known.size() == fg_.cpg().conditions().size();
-}
-
-Time Engine::guard_divergence_limit(const EngineHistory& h) const {
-  Time limit = kInf;
-  // (a) Conditions decided oppositely by both labels gate every
-  //     differing-activity task (see the prefix-equality argument above).
-  bool divergent = false;
-  for (CondId c = 0; c < fg_.cpg().conditions().size(); ++c) {
-    const auto a = h.label.value_of(c);
-    const auto b = label_.value_of(c);
-    if (a == b) continue;
-    if (a && b) {
-      divergent = true;
-      limit = std::min(limit, h.cond_known[c]);
-    }
-  }
-  // Distinct complete path labels of one graph are pairwise incompatible,
-  // so a both-decided divergent condition must exist; refuse anything
-  // else (identical labels, partial contexts, foreign label sets).
-  if (!divergent) return 0;
-  for (TaskId t = 0; t < fg_.task_count(); ++t) {
-    if (h.active[t] && active_[t]) {
-      // (b) Common tasks with differing priorities steer ready-heap pops
-      //     from the moment they first become ready in the recorded run.
-      //     Only sequential-resource non-broadcast tasks ever consult
-      //     their priority: hardware tasks start whenever ready and
-      //     broadcasts go by task-id order on the first free bus.
-      if (h.priority[t] != priority_[t] && !fg_.is_broadcast(t) &&
-          seq_[fg_.resource(t)]) {
-        limit = std::min(limit, h.act[t]);
-      }
-    } else if (h.active[t] != active_[t]) {
-      // Belt: a non-conjunction successor active in both runs is not
-      // knowledge-gated on this differing predecessor. Validated CPGs
-      // cannot produce one (see the argument above) — refuse to resume
-      // rather than risk a silent divergence on a hand-built model.
-      for (TaskId succ : fg_.succs(t)) {
-        if (h.active[succ] && active_[succ] &&
-            !fg_.guard_info(succ).conjunction) {
-          return 0;
-        }
-      }
-    }
-  }
-  return limit;
-}
-
-void Engine::restore_checkpoint(const EngineHistory& h,
-                                const EngineCheckpoint& ck) {
-  // The engine state was just initialized from scratch for this request;
-  // replaying the recorded log prefix on top reproduces the shared
-  // prefix's request-independent state: through the divergence limit both
-  // runs committed byte-identical steps, so the recorded starts are the
-  // resuming run's own. A start with end <= ck.now has completed by the
-  // checkpoint (completions at `now` are processed before the step at
-  // `now` is recorded; zero-duration tasks complete at their start).
-  for (std::size_t i = 0; i < ck.log_pos; ++i) {
-    const StartEvent& e = h.log[i];
-    const Task& task = fg_.task(e.task);
-    started_[e.task] = 1;
-    sched_.place(e.task, e.start, e.end, e.resource);
-    if (e.end > ck.now) {
-      running_.push_back(e.task);  // log order = start order = natural
-      if (seq_[e.resource]) busy_until_[e.resource] = e.end;
-      continue;
-    }
-    finished_[e.task] = 1;
-    if (e.end > e.start && seq_[e.resource]) {
-      busy_until_[e.resource] = e.end;
-    }
-    // Knowledge is a pure function of the finished prefix and the label;
-    // prefix conditions are common to both runs, so the current label
-    // supplies the same values the recorded run learned.
-    if (task.computes) {
-      const CondId c = *task.computes;
-      learn(e.resource, c, e.end);
-      if (!fg_.broadcasts_enabled()) {
-        for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c, e.end);
-      }
-    }
-    if (task.broadcasts) {
-      const CondId c = *task.broadcasts;
-      for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c, e.end);
-    }
-  }
-
-  // Everything request-dependent is rebuilt from *this* request plus the
-  // replayed flags — the resuming run may differ from the recorded one in
-  // its whole guard assignment (active sets, priorities), so nothing of
-  // the sort is ever recorded. The rebuild reproduces exactly what a
-  // from-scratch run of this request holds after the step at ck.now:
-  // pending/dep-ready/act are pure functions of (active set, finished
-  // set, schedule), heap contents are the ready unstarted tasks, and heap
-  // pop order is a total order on (priority, id), making insertion order
-  // irrelevant.
-  remaining_ = 0;
-  for (TaskId t : active_list_) {
-    if (!finished_[t]) ++remaining_;
-    bool has_pred = false;
-    Time last_done = 0;
-    std::size_t open = 0;
-    for (TaskId pred : fg_.preds(t)) {
-      if (!active(pred)) continue;
-      has_pred = true;
-      if (finished_[pred]) {
-        last_done = std::max(last_done, sched_.slot(pred).end);
-      } else {
-        ++open;
-      }
-    }
-    pending_[t] = open;
-    dep_ready_[t] = last_done;
-    act_[t] = open == 0 ? (has_pred ? last_done : 0) : kInf;
-  }
-  // Ready structures, in task-id order exactly like the from-scratch
-  // initialization (a resuming request carries no locks). Every
-  // sequential resource is dirty: a superset of the marks a from-scratch
-  // run holds here is safe (an extra visit is one a full scan makes).
-  bcast_pending_.clear();
-  hw_ready_.clear();
-  ready_.assign(fg_.arch().pe_count(), ReadyHeap());
-  for (TaskId t : active_list_) {
-    if (fg_.is_broadcast(t)) {
-      if (!started_[t]) bcast_pending_.push_back(t);
-      continue;
-    }
-    if (!started_[t] && pending_[t] == 0) enqueue_ready(t);
-  }
-  for (PeId r = 0; r < fg_.arch().pe_count(); ++r) mark_dirty(r);
-}
-
-void Engine::maybe_record(Time now, std::size_t steps) {
-  EngineHistory& h = *req_.history;
-  if (++h.since_record < h.stride) return;
-  h.since_record = 0;
-  if (h.ckpt_count == EngineHistory::kMaxCheckpoints) {
-    // Thin: keep every second checkpoint, double the stride.
-    for (std::size_t i = 1, j = 2; j < h.ckpt_count; ++i, j += 2) {
-      h.ckpts[i] = h.ckpts[j];
-    }
-    h.ckpt_count = (h.ckpt_count + 1) / 2;
-    h.stride *= 2;
-  }
-  if (h.ckpts.size() <= h.ckpt_count) h.ckpts.emplace_back();
-  EngineCheckpoint& ck = h.ckpts[h.ckpt_count++];
-  ck.now = now;
-  ck.steps = steps;
-  ck.log_pos = h.log.size();
-  ++ws_.stats.checkpoints;
-}
-
-void Engine::finalize_history(bool feasible) {
-  EngineHistory& h = *req_.history;
-  h.graph_uid = fg_.uid();
-  h.task_count = fg_.task_count();
-  h.label = label_;
-  h.active = active_;
-  h.priority = priority_;
-  h.enforce_knowledge = req_.enforce_knowledge;
-  h.act = act_;
-  h.cond_known = cond_known_;
-  h.feasible = feasible;
-  h.valid = true;
-}
-
-// --------------------------------------------------------------------------
 // Starts, completions and lock events.
 
 void Engine::start_task(TaskId t, Time now, PeId res) {
@@ -665,9 +396,6 @@ void Engine::start_task(TaskId t, Time now, PeId res) {
     std::size_t& next = lock_res_next_[res];
     while (next < on_res.size() && started_[on_res[next]]) ++next;
   }
-  if (record_ckpts_) {
-    req_.history->log.push_back(StartEvent{t, now, now + dur, res});
-  }
   if (dur == 0) {
     complete_task(t, now);
     return;
@@ -679,18 +407,18 @@ void Engine::start_task(TaskId t, Time now, PeId res) {
 }
 
 // Knowledge updates. With exact masks the per-resource words are the
-// whole knowledge state (the known_ time matrix is not even allocated);
-// otherwise the time matrix drives the known_context fallbacks.
-void Engine::learn(PeId res, CondId c, Time when) {
-  if (recording_ && cond_known_[c] > when) cond_known_[c] = when;
+// whole knowledge state (the known_ cubes are not even allocated);
+// otherwise each resource's known cube is the guard checks' context.
+void Engine::learn(PeId res, CondId c) {
   mark_dirty(res);
+  const auto value = label_.value_of(c);
+  if (!value) return;
   if (use_masks_) {
-    if (const auto value = label_.value_of(c)) {
-      (*value ? known_pos_ : known_neg_)[res] |= std::uint64_t{1} << c;
-    }
+    (*value ? known_pos_ : known_neg_)[res] |= std::uint64_t{1} << c;
     return;
   }
-  known_[res][c] = std::min(known_[res][c], when);
+  Cube& known = known_[res];
+  if (!known.mentions(c)) known = *known.conjoin(Literal{c, *value});
 }
 
 void Engine::complete_task(TaskId t, Time now) {
@@ -705,23 +433,20 @@ void Engine::complete_task(TaskId t, Time now) {
     CPS_ASSERT(pending_[succ] > 0, "predecessor bookkeeping underflow");
     --pending_[succ];
     dep_ready_[succ] = std::max(dep_ready_[succ], now);
-    if (pending_[succ] == 0) {
-      act_[succ] = now;
-      enqueue_ready(succ);
-    }
+    if (pending_[succ] == 0) enqueue_ready(succ);
   }
   if (task.computes) {
     const CondId c = *task.computes;
-    learn(res, c, now);
+    learn(res, c);
     if (!fg_.broadcasts_enabled()) {
       // Single-resource models: the value is immediately visible (there is
       // nobody else to inform).
-      for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c, now);
+      for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c);
     }
   }
   if (task.broadcasts) {
     const CondId c = *task.broadcasts;
-    for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c, now);
+    for (PeId r = 0; r < fg_.arch().pe_count(); ++r) learn(r, c);
   }
 }
 
@@ -753,7 +478,6 @@ EngineResult Engine::infeasible(TaskId t, const std::string& reason) {
 }
 
 EngineResult Engine::interrupted(ErrorCode code) {
-  if (recording_) req_.history->invalidate();
   EngineResult out;
   out.feasible = false;
   out.code = code;
@@ -797,14 +521,6 @@ EngineResult Engine::run() {
   }
   cache_ = req_.cover_cache ? req_.cover_cache : &ws_.private_cache;
 
-  // Checkpoint resume: only lock-free requests record/resume — the tree
-  // driver chaining leaves of the guard trie. A history handed in with a
-  // locked request is neither read nor written.
-  recording_ = req_.history != nullptr &&
-               req_.resume == EngineResume::kCheckpoint && !any_lock(locks_);
-  const bool guard_usable = recording_ && req_.history->valid &&
-                            history_guard_matches(*req_.history);
-
   sched_.reset(n);
   pending_.assign(n, 0);
   dep_ready_.assign(n, 0);
@@ -817,12 +533,8 @@ EngineResult Engine::run() {
   }
   dirty_.assign((fg_.arch().pe_count() + 63) / 64, 0);
   use_masks_ = fg_.masks_enabled();
-  if (!use_masks_) {
-    known_.assign(fg_.arch().pe_count(),
-                  std::vector<Time>(fg_.cpg().conditions().size(), kInf));
-  }
+  if (!use_masks_) known_.assign(fg_.arch().pe_count(), Cube());
   running_.clear();
-  act_.assign(n, kInf);
   remaining_ = active_list_.size();
   for (TaskId t : active_list_) {
     // Reservations come from table cells, which are non-negative; the
@@ -832,7 +544,6 @@ EngineResult Engine::run() {
     std::size_t open = 0;
     for (TaskId pred : fg_.preds(t)) open += active_[pred];
     pending_[t] = open;
-    if (open == 0) act_[t] = 0;
   }
 
   known_pos_.assign(fg_.arch().pe_count(), 0);
@@ -851,56 +562,6 @@ EngineResult Engine::run() {
   }
 
   Time now = 0;
-  std::size_t steps = 0;
-  bool resumed = false;
-  bool resumed_step_pending = false;
-  std::size_t resumed_steps = 0;
-  if (recording_) {
-    EngineHistory& h = *req_.history;
-    cond_known_.assign(fg_.cpg().conditions().size(), kInf);
-    Time limit = 0;
-    if (guard_usable) {
-      limit = guard_divergence_limit(h);
-      const EngineCheckpoint* best = nullptr;
-      std::size_t best_idx = 0;
-      for (std::size_t i = 0; i < h.ckpt_count; ++i) {
-        if (h.ckpts[i].now < limit) {
-          best = &h.ckpts[i];
-          best_idx = i;
-        }
-      }
-      if (best != nullptr) {
-        restore_checkpoint(h, *best);
-        now = best->now;
-        steps = best->steps;
-        resumed = true;
-        resumed_step_pending = true;  // the step at `now` is already done
-        resumed_steps = best->steps;
-        // The suffix belongs to the old run; the continuation re-appends.
-        h.ckpt_count = best_idx + 1;
-        h.log.resize(best->log_pos);
-        ++ws_.stats.resumes;
-        ws_.stats.resumed_steps += resumed_steps;
-      }
-    }
-    if (!resumed) {
-      h.invalidate();
-      ++ws_.stats.from_scratch;
-    } else {
-      h.since_record = 0;
-      h.valid = false;  // consistent again once finalize_history runs
-    }
-    // Demand-driven recording: a run of a fresh history stores only the
-    // cheap per-run metadata (identity, act, outcome). This run is worth
-    // checkpointing per step only if a sibling guard assignment has
-    // arrived on this history — which includes this very run — and a
-    // resume is plausible (limit > 0): when sibling priorities diverge
-    // right at t=0 — unbalanced arm durations shift every shared
-    // critical-path priority — no checkpoint can ever be restored, and
-    // per-step recording would be pure overhead on every leaf of the trie.
-    record_ckpts_ = guard_usable && (resumed || limit > 0);
-  }
-
   // Bounded-interval budget polling: the cancel token every step, the
   // wall clock every BudgetPoll::kStride steps (see support/cancel.hpp).
   BudgetPoll budget_poll(req_.budget);
@@ -911,11 +572,7 @@ EngineResult Engine::run() {
     }
     // Start everything that can start at `now` (repeat until fixpoint:
     // zero-duration completions can enable further starts at this time).
-    // A resumed run's first step was already committed by the recorded
-    // prefix — its fixpoint is part of the restored state.
-    if (!resumed_step_pending) {
-      while (try_starts(now)) {
-      }
+    while (try_starts(now)) {
     }
 
     if (remaining_ == 0) break;
@@ -923,25 +580,16 @@ EngineResult Engine::run() {
     // A locked task whose start time has arrived but which could not be
     // started is a hard failure: the reservation cannot be honored.
     if (const std::optional<TaskId> t = missed_lock(now)) {
-      EngineResult out = infeasible(
-          *t, "locked task " + fg_.task(*t).name +
-                  " cannot start at its reserved time " +
-                  std::to_string(lock(*t).start));
-      out.resumed = resumed;
-      out.resumed_steps = resumed_steps;
-      return out;  // locked runs never record (see recording_)
+      return infeasible(*t, "locked task " + fg_.task(*t).name +
+                                " cannot start at its reserved time " +
+                                std::to_string(lock(*t).start));
     }
 
-    if (!resumed_step_pending) {
-      CPS_FAULT_POINT("engine.step");
-      ++steps;
-      if (req_.budget != nullptr &&
-          req_.budget->charge_steps(1) != ErrorCode::kOk) {
-        return interrupted(ErrorCode::kStepBudgetExceeded);
-      }
-      if (record_ckpts_) maybe_record(now, steps);
+    CPS_FAULT_POINT("engine.step");
+    if (req_.budget != nullptr &&
+        req_.budget->charge_steps(1) != ErrorCode::kOk) {
+      return interrupted(ErrorCode::kStepBudgetExceeded);
     }
-    resumed_step_pending = false;
 
     // Advance to the next event: a completion or a future lock start.
     Time next = next_lock_start();
@@ -954,9 +602,6 @@ EngineResult Engine::run() {
       out.code = ErrorCode::kUnschedulable;
       out.reason = "scheduling deadlock (no startable task and no pending "
                    "event)";
-      out.resumed = resumed;
-      out.resumed_steps = resumed_steps;
-      if (recording_) finalize_history(false);
       return out;
     }
     now = next;
@@ -976,9 +621,6 @@ EngineResult Engine::run() {
 
   EngineResult out;
   out.feasible = true;
-  out.resumed = resumed;
-  out.resumed_steps = resumed_steps;
-  if (recording_) finalize_history(true);
   out.schedule = sched_;  // copy: the workspace keeps its capacity warm
   return out;
 }

@@ -58,22 +58,15 @@ struct EngineRequest {
   /// memoize guards of the same FlatGraph). The engine uses the
   /// workspace's private cache when null.
   CoverCache* cover_cache = nullptr;
-  /// Incremental rescheduling knob (see EngineResume). Only effective
-  /// with a non-null `history`.
-  EngineResume resume = EngineResume::kFromScratch;
-  /// Checkpoint stream to resume from and re-record into (non-owning;
-  /// must outlive the run), chained across lock-free runs of sibling
-  /// guard assignments (the engine verifies and falls back to
-  /// from-scratch otherwise). Neither read nor written when `locks`
-  /// holds any lock.
+  /// Ignored: kept only because perfbench/src/layers.cpp sets both.
+  EngineResume resume = EngineResume::kCheckpoint;
   EngineHistory* history = nullptr;
   /// Optional cooperative cancellation/deadline/step budget (non-owning;
   /// must outlive the run). The main loop polls it at bounded intervals
   /// — the cancel token every step, the wall clock every
   /// BudgetPoll::kStride steps — and charges each committed step against
   /// the budget. A trip returns an infeasible EngineResult carrying the
-  /// interrupt code; any attached history is invalidated (not finalized),
-  /// so the workspace and history stay reusable and the next clean run
+  /// interrupt code; the workspace stays reusable and the next clean run
   /// is byte-identical to a never-interrupted one.
   RunBudget* budget = nullptr;
 };
@@ -91,10 +84,8 @@ struct EngineResult {
   /// time, the offending task (lets the merge relax that lock).
   std::optional<TaskId> offending_lock;
   std::string reason;
-  /// This run resumed from a checkpoint of `request.history`, skipping
-  /// `resumed_steps` committed time steps.
+  /// Always false. Kept only because perfbench/src/layers.cpp reads it.
   bool resumed = false;
-  std::size_t resumed_steps = 0;
 };
 
 /// Run the engine against a caller-provided reusable workspace: the
@@ -115,8 +106,7 @@ EngineResult run_list_scheduler(const FlatGraph& fg,
 
 /// Build the per-path engine request of `schedule_path` (active set +
 /// priorities for one alternative path) without running the engine. The
-/// tree driver uses it to attach resume options — an EngineHistory
-/// chained across the leaves of the guard trie — before dispatch. The
+/// driver uses it to attach the run budget before dispatch. The
 /// ReadySelection parameter is ignored; it is kept only because
 /// perfbench/src/layers.cpp passes it.
 EngineRequest make_path_request(const FlatGraph& fg, const AltPath& path,

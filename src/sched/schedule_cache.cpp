@@ -10,7 +10,8 @@ namespace {
 // Persistent entries prepend the full key encoding so a reader can verify
 // content identity (not just the digest-derived filename):
 //   key_len(u64 LE) | key_encoding | payload.
-std::string frame_store_payload(std::string_view key, std::string_view payload) {
+std::string frame_store_payload(std::string_view key,
+                                std::string_view payload) {
   std::string out;
   out.reserve(8 + key.size() + payload.size());
   const std::uint64_t len = key.size();
@@ -66,14 +67,19 @@ ScheduleCache::ScheduleCache(ScheduleCacheOptions options)
 
 ScheduleCache::~ScheduleCache() = default;
 
-bool ScheduleCache::lookup(const Digest128& digest,
-                           std::string_view key_encoding,
-                           std::string* payload) {
+bool ScheduleCache::lookup(
+    const Digest128& digest, std::string_view key_encoding,
+    std::string* payload,
+    const std::function<bool(std::string_view)>& accept) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = exact_.find(digest);
   if (it != exact_.end() && it->second.key == key_encoding) {
+    if (accept && !accept(it->second.payload)) {
+      ++counters_.misses;
+      return false;
+    }
     ++counters_.hits;
-    *payload = it->second.payload;
+    if (payload != nullptr) *payload = it->second.payload;
     return true;
   }
   if (store_ != nullptr) {
@@ -85,9 +91,13 @@ bool ScheduleCache::lookup(const Digest128& digest,
                                   digest.hex());
         }
         if (stored_key == key_encoding) {
+          if (accept && !accept(stored_payload)) {
+            throw StoreCorruptError("schedule-cache entry payload rejected: " +
+                                    digest.hex());
+          }
           ++counters_.hits;
           ++counters_.store_hits;
-          payload->assign(stored_payload);
+          if (payload != nullptr) payload->assign(stored_payload);
           // Promote so the next repeat skips the disk round-trip.
           insert_memory(digest, stored_key, stored_payload);
           return true;
@@ -109,7 +119,8 @@ void ScheduleCache::insert_memory(const Digest128& digest,
                                   std::string_view key_encoding,
                                   std::string_view payload) {
   auto [it, inserted] = exact_.try_emplace(digest);
-  if (!inserted) exact_bytes_ -= it->second.key.size() + it->second.payload.size();
+  if (!inserted)
+    exact_bytes_ -= it->second.key.size() + it->second.payload.size();
   it->second.key.assign(key_encoding);
   it->second.payload.assign(payload);
   exact_bytes_ += key_encoding.size() + payload.size();

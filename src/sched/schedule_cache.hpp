@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,9 +75,15 @@ class ScheduleCache {
 
   /// `digest` must be digest_of(key_encoding); the split spares hot paths
   /// recomputing it. On hit, copies the recorded payload into *payload
-  /// and returns true.
+  /// (unless null) and returns true. `accept`, when set, vets the recorded
+  /// payload first (the batch driver decodes it): a rejected payload is a
+  /// miss, is not promoted from the store into memory, and from the store
+  /// counts as a store error. `accept` runs under the cache's lock, so
+  /// the hit is counted and promoted only with the bytes it accepted; it
+  /// must not call back into the cache.
   bool lookup(const Digest128& digest, std::string_view key_encoding,
-              std::string* payload);
+              std::string* payload,
+              const std::function<bool(std::string_view)>& accept = {});
 
   /// Record (or overwrite) the payload for a key; writes through to the
   /// persistent tier when one is configured.

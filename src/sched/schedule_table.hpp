@@ -97,9 +97,8 @@ class ScheduleTable {
   std::size_t entry_count() const;
 
   /// Cell-wise equality (rows, order and every entry field) — the
-  /// canonical check behind the "byte-identical tables" guarantees (tree
-  /// vs list walk, cache replay vs recompute). Ignores which FlatGraph
-  /// instance is referenced.
+  /// canonical check behind the "byte-identical tables" guarantees (cache
+  /// replay vs recompute). Ignores which FlatGraph instance is referenced.
   friend bool operator==(const ScheduleTable& a, const ScheduleTable& b);
   friend bool operator!=(const ScheduleTable& a, const ScheduleTable& b) {
     return !(a == b);

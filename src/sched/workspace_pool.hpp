@@ -15,9 +15,10 @@
 // session's steady-state requests run entirely on warm buffers while
 // sessions stay isolated from each other.
 //
-// Determinism: workspace identity never influences results — resumed and
-// from-scratch runs are byte-identical by construction and the existing
-// equivalence suites pin that. What DOES change with a warm workspace is
+// Determinism: workspace identity never influences results — every run
+// re-initializes the workspace it is handed, and
+// BatchDriver.SharedWorkspacePoolKeepsResultsByteIdentical pins that.
+// What DOES change with a warm workspace is
 // the WorkspaceStats reuse counters (a leased warm workspace reports
 // reuse_hits where a cold one reports an initial allocation), which is
 // why the service's response payloads exclude the reuse-counter block

@@ -7,8 +7,8 @@
 // and optional step/path budgets. Loops poll it cooperatively (there is
 // no preemption); a trip surfaces as a typed ErrorCode at the layer
 // that observed it (see support/error.hpp), never as a torn state —
-// after any trip every EngineWorkspace/EngineHistory stays reusable and
-// a subsequent clean run is byte-identical to a never-interrupted one.
+// after any trip every EngineWorkspace stays reusable and a subsequent
+// clean run is byte-identical to a never-interrupted one.
 //
 // Polling cost is bounded by BudgetPoll: the cancel flag is a relaxed
 // atomic load checked on every poll, the clock is read only once per
@@ -69,8 +69,9 @@ struct RunBudget {
   RunBudget& operator=(const RunBudget&) = delete;
 
   void set_deadline_after(double ms) {
-    deadline = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                  std::chrono::duration<double, std::milli>(ms));
+    deadline = clock::now() +
+               std::chrono::duration_cast<clock::duration>(
+                   std::chrono::duration<double, std::milli>(ms));
     has_deadline = true;
   }
 

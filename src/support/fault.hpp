@@ -16,8 +16,8 @@
 // is one relaxed atomic load per site visit.
 //
 // Invariant under test: after any injected fault, every EngineWorkspace
-// and EngineHistory stays reusable, and a subsequent clean run produces
-// byte-identical output to a never-faulted run.
+// stays reusable, and a subsequent clean run produces byte-identical
+// output to a never-faulted run.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,8 @@
 // including the outcome of locked requests (feasibility, code, offending
 // lock).
 //
-// A request's cover cache, history, resume mode and budget are ignored:
-// the reference always runs from scratch to completion.
+// A request's cover cache and budget are ignored: the reference always
+// runs to completion.
 #pragma once
 
 #include <algorithm>

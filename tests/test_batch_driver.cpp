@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "sched/batch_driver.hpp"
-#include "sched/priority.hpp"
 #include "sched/workspace_pool.hpp"
 #include "support/json.hpp"
 
@@ -90,59 +89,27 @@ TEST(BatchDriver, DifferentSeedsChangeResults) {
   EXPECT_NE(a, b);
 }
 
-TEST(BatchDriver, TreeAndListSchedulingAgreeOnResults) {
-  BatchConfig config = small_config();
-  config.cpg.path_count = 12;
-  // Balanced execution times keep sibling paths' critical-path priorities
-  // identical across the shared prefix — the regime where the guard-trie
-  // chain actually resumes (heterogeneous durations shift priorities at
-  // t=0 and the engine adaptively stops recording; still byte-identical).
-  config.cpg.exec_min = 4;
-  config.cpg.exec_max = 4;
-  config.cpg.comm_min = 2;
-  config.cpg.comm_max = 2;
-  config.synthesis.path_scheduling = PathScheduling::kTree;
-  const BatchResult tree = run_batch(config);
-  config.synthesis.path_scheduling = PathScheduling::kList;
-  const BatchResult list = run_batch(config);
-  ASSERT_EQ(tree.items.size(), list.items.size());
-  std::size_t resumes = 0;
-  for (std::size_t i = 0; i < tree.items.size(); ++i) {
-    EXPECT_EQ(tree.items[i].ok, list.items[i].ok);
-    EXPECT_EQ(tree.items[i].delta_m, list.items[i].delta_m);
-    EXPECT_EQ(tree.items[i].delta_max, list.items[i].delta_max);
-    EXPECT_EQ(tree.items[i].table_entries, list.items[i].table_entries);
-    EXPECT_EQ(tree.items[i].paths, list.items[i].paths);
-    // The list reference never resumes.
-    EXPECT_EQ(list.items[i].tree.prefix_resumes, 0u);
-    resumes += tree.items[i].tree.prefix_resumes;
-  }
-  EXPECT_GT(resumes, 0u);
-}
-
-TEST(BatchDriver, JsonCarriesPathTreeCounters) {
+TEST(BatchDriver, JsonOmitsWalkAndRuntimeCounters) {
   const BatchConfig config = small_config();
   const std::string json =
       batch_result_to_json(run_batch(config), deterministic_json());
-  EXPECT_NE(json.find("\"path_scheduling\": \"tree\""), std::string::npos);
-  EXPECT_NE(json.find("\"path_tree\""), std::string::npos);
-  EXPECT_NE(json.find("\"prefix_resumes\""), std::string::npos);
+  // The guard-trie walk and its counters are gone from the format.
+  EXPECT_EQ(json.find("\"path_tree\""), std::string::npos);
+  EXPECT_EQ(json.find("\"path_scheduling\""), std::string::npos);
   // Deterministic JSON must not leak the timing-gated runtime counters.
   EXPECT_EQ(json.find("\"runtime\""), std::string::npos);
   EXPECT_EQ(json.find("\"steals\""), std::string::npos);
 }
 
-// 40 tree-scheduled seeds, byte-identical JSON at every thread count.
-// The 1-thread run has no pool at all (the serial reference); the others
-// run whole items on one runtime — none of which may leak into
-// deterministic output.
-TEST(BatchDriver, FortySeedTreeSweepIsByteIdenticalAt1248Threads) {
+// 40 seeds, byte-identical JSON at every thread count. The 1-thread run
+// has no pool at all (the serial reference); the others run whole items
+// on one runtime — none of which may leak into deterministic output.
+TEST(BatchDriver, FortySeedSweepIsByteIdenticalAt1248Threads) {
   BatchConfig config;
   config.count = 40;
   config.base_seed = 7;
   config.cpg.process_count = 16;
   config.cpg.path_count = 6;
-  config.synthesis.path_scheduling = PathScheduling::kTree;
   config.threads = 1;
   const std::string reference =
       batch_result_to_json(run_batch(config), deterministic_json());
@@ -160,7 +127,6 @@ TEST(BatchDriver, PooledBatchReportsABalancedRuntimeSnapshot) {
   BatchConfig config = small_config();
   config.cpg.path_count = 8;
   config.threads = 4;
-  config.synthesis.path_scheduling = PathScheduling::kTree;
   const BatchResult result = run_batch(config);
   ASSERT_EQ(result.summary.ok_count, config.count);
   const PoolStats& pool = result.summary.pool;
@@ -175,49 +141,36 @@ TEST(BatchDriver, PooledBatchReportsABalancedRuntimeSnapshot) {
 // not change any result: with the reuse counters excluded from the
 // serialization, a pooled batch is byte-identical to a cold one. Of
 // those counters only the workspace block reflects warm-lease luck; the
-// cover_cache and path_tree counters stay a pure function of the graph
-// and options, so they must match item by item too. Critical-path
-// priorities (the default) on random CPGs diverge between sibling leaves
-// at t=0, so their leaves seldom resume; the task-order run gives the
-// path_tree counters values worth comparing.
+// cover_cache counters stay a pure function of the graph and options,
+// so they must match item by item too.
 TEST(BatchDriver, SharedWorkspacePoolKeepsResultsByteIdentical) {
-  std::size_t prefix_resumes = 0;
-  for (PriorityPolicy policy :
-       {PriorityPolicy::kCriticalPath, PriorityPolicy::kTaskOrder}) {
-    SCOPED_TRACE(to_string(policy));
-    BatchConfig config = small_config();
-    config.synthesis.path_priority = policy;
-    BatchJsonOptions json_options = deterministic_json();
-    json_options.include_reuse_counters = false;
-    const BatchResult cold_result = run_batch(config);
-    const std::string cold = batch_result_to_json(cold_result, json_options);
+  BatchConfig config = small_config();
+  BatchJsonOptions json_options = deterministic_json();
+  json_options.include_reuse_counters = false;
+  const BatchResult cold_result = run_batch(config);
+  const std::string cold = batch_result_to_json(cold_result, json_options);
 
-    WorkspacePool pool;
-    config.synthesis.workspace_pool = &pool;
-    const BatchResult warm_result = run_batch(config);
-    const std::string warm = batch_result_to_json(warm_result, json_options);
-    EXPECT_EQ(cold, warm);
+  WorkspacePool pool;
+  config.synthesis.workspace_pool = &pool;
+  const BatchResult warm_result = run_batch(config);
+  const std::string warm = batch_result_to_json(warm_result, json_options);
+  EXPECT_EQ(cold, warm);
 
-    ASSERT_EQ(cold_result.items.size(), warm_result.items.size());
-    for (std::size_t i = 0; i < cold_result.items.size(); ++i) {
-      SCOPED_TRACE("item " + std::to_string(i));
-      const BatchItem& c = cold_result.items[i];
-      const BatchItem& w = warm_result.items[i];
-      EXPECT_EQ(c.cover_cache.hits, w.cover_cache.hits);
-      EXPECT_EQ(c.cover_cache.misses, w.cover_cache.misses);
-      EXPECT_EQ(c.cover_cache.entries, w.cover_cache.entries);
-      EXPECT_EQ(c.cover_cache.resets, w.cover_cache.resets);
-      EXPECT_EQ(c.tree.prefix_resumes, w.tree.prefix_resumes);
-      EXPECT_EQ(c.tree.resumed_steps, w.tree.resumed_steps);
-      prefix_resumes += c.tree.prefix_resumes;
-    }
-
-    const WorkspacePool::Stats stats = pool.stats();
-    EXPECT_GT(stats.leases, 0u);
-    EXPECT_GT(stats.warm_hits, 0u) << "the pool must actually reuse buffers";
-    EXPECT_EQ(pool.idle(), stats.created) << "every lease returned";
+  ASSERT_EQ(cold_result.items.size(), warm_result.items.size());
+  for (std::size_t i = 0; i < cold_result.items.size(); ++i) {
+    SCOPED_TRACE("item " + std::to_string(i));
+    const BatchItem& c = cold_result.items[i];
+    const BatchItem& w = warm_result.items[i];
+    EXPECT_EQ(c.cover_cache.hits, w.cover_cache.hits);
+    EXPECT_EQ(c.cover_cache.misses, w.cover_cache.misses);
+    EXPECT_EQ(c.cover_cache.entries, w.cover_cache.entries);
+    EXPECT_EQ(c.cover_cache.resets, w.cover_cache.resets);
   }
-  EXPECT_GT(prefix_resumes, 0u) << "the path_tree comparison must bite";
+
+  const WorkspacePool::Stats stats = pool.stats();
+  EXPECT_GT(stats.leases, 0u);
+  EXPECT_GT(stats.warm_hits, 0u) << "the pool must actually reuse buffers";
+  EXPECT_EQ(pool.idle(), stats.created) << "every lease returned";
 }
 
 TEST(BatchDriver, SummaryAggregatesOnlySuccessfulItems) {

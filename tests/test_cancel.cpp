@@ -8,7 +8,6 @@
 // was never interrupted.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 
 #include "io/table_csv.hpp"
@@ -21,30 +20,7 @@
 namespace {
 
 using namespace cps;
-using cps::testing::small_arch;
-
-// `regions` independent two-way condition regions in series: 2^regions
-// alternative paths (same shape as the path-tree suite's chain).
-Cpg series_of_conditions(std::size_t regions) {
-  CpgBuilder b(small_arch());
-  std::optional<ProcessId> prev;
-  for (std::size_t i = 0; i < regions; ++i) {
-    const std::string n = std::to_string(i);
-    const CondId c = b.add_condition("C" + n);
-    const ProcessId d = b.add_process("D" + n, 0, 1);
-    const ProcessId t = b.add_process("T" + n, 0, 1);
-    const ProcessId f = b.add_process("F" + n, 0, 1);
-    const ProcessId j = b.add_process("J" + n, 0, 1);
-    b.add_cond_edge(d, t, Literal{c, true});
-    b.add_cond_edge(d, f, Literal{c, false});
-    b.add_edge(t, j);
-    b.add_edge(f, j);
-    b.mark_conjunction(j);
-    if (prev) b.add_edge(*prev, d);
-    prev = j;
-  }
-  return b.build();
-}
+using cps::testing::series_of_conditions;
 
 void expect_identical_results(const CoSynthesisResult& a,
                               const CoSynthesisResult& b) {
@@ -157,32 +133,27 @@ TEST(Cancellation, ExpiredDeadlineThrowsDeadlineExceeded) {
   expect_identical_results(schedule_cpg(g, options), schedule_cpg(g));
 }
 
-TEST(Cancellation, StepBudgetTripsInsideTheEngineAtEveryMode) {
+TEST(Cancellation, StepBudgetTripsInsideTheEngine) {
   // max_steps is charged by the engine main loop itself, so this
   // exercises the deepest interrupt path: engine -> check_path_result ->
-  // typed throw, in list mode and tree mode.
+  // typed throw.
   const Cpg g = series_of_conditions(5);  // 32 leaves
-  for (const PathScheduling mode :
-       {PathScheduling::kList, PathScheduling::kTree}) {
-    SCOPED_TRACE(to_string(mode));
-    RunBudget budget;
-    budget.max_steps = 3;  // far less than one path needs
-    CoSynthesisOptions options;
-    options.path_scheduling = mode;
-    options.budget = &budget;
-    try {
-      schedule_cpg(g, options);
-      FAIL() << "expected a step-budget trip";
-    } catch (const BudgetExceededError& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kStepBudgetExceeded);
-    }
-    EXPECT_GT(budget.steps_used(), 0u);
-    // Workspace-reuse invariant: the same options with an unlimited
-    // budget produce the untouched reference result.
-    RunBudget unlimited;
-    options.budget = &unlimited;
-    expect_identical_results(schedule_cpg(g, options), schedule_cpg(g));
+  RunBudget budget;
+  budget.max_steps = 3;  // far less than one path needs
+  CoSynthesisOptions options;
+  options.budget = &budget;
+  try {
+    schedule_cpg(g, options);
+    FAIL() << "expected a step-budget trip";
+  } catch (const BudgetExceededError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kStepBudgetExceeded);
   }
+  EXPECT_GT(budget.steps_used(), 0u);
+  // Workspace-reuse invariant: the same options with an unlimited budget
+  // produce the untouched reference result.
+  RunBudget unlimited;
+  options.budget = &unlimited;
+  expect_identical_results(schedule_cpg(g, options), schedule_cpg(g));
 }
 
 TEST(Cancellation, RunBudgetMaxPathsFoldsIntoOptionsBudget) {
@@ -222,16 +193,14 @@ TEST(BoundedCoverage, KBoundReturnsTruncatedResultWithCoverage) {
   EXPECT_DOUBLE_EQ(complete.coverage, 1.0);
 }
 
-TEST(BoundedCoverage, TruncationAtTheBudgetBoundaryIsIdenticalAcrossModes) {
+TEST(BoundedCoverage, TruncationAtTheBudgetBoundaryIsIdentical) {
   // The walk's streaming path counter is the only budget check. One path
   // under the leaf count trips it; the exact leaf count and one more run
   // the whole graph. The kept prefix is a pure function of the
-  // enumeration order, so both modes keep the same bytes.
+  // enumeration order, so a repeated bounded run keeps the same bytes.
   const Cpg g = series_of_conditions(6);  // 64 leaves
-  const auto run = [&](PathScheduling mode, std::size_t max_paths,
-                       BudgetAction action) {
+  const auto run = [&](std::size_t max_paths, BudgetAction action) {
     CoSynthesisOptions options;
-    options.path_scheduling = mode;
     options.max_paths = max_paths;
     options.on_budget = action;
     return schedule_cpg(g, options);
@@ -241,33 +210,28 @@ TEST(BoundedCoverage, TruncationAtTheBudgetBoundaryIsIdenticalAcrossModes) {
     expect_identical_results(a, b);
     EXPECT_EQ(table_csv_string(a.table), table_csv_string(b.table));
   };
-  const CoSynthesisResult truncated =
-      run(PathScheduling::kList, 63, BudgetAction::kBound);
-  for (const PathScheduling mode :
-       {PathScheduling::kList, PathScheduling::kTree}) {
-    SCOPED_TRACE(to_string(mode));
-    const CoSynthesisResult full = run(mode, 0, BudgetAction::kThrow);
-    ASSERT_EQ(full.path_count, 64u);
+  const CoSynthesisResult truncated = run(63, BudgetAction::kBound);
+  const CoSynthesisResult full = run(0, BudgetAction::kThrow);
+  ASSERT_EQ(full.path_count, 64u);
 
-    try {
-      run(mode, 63, BudgetAction::kThrow);
-      FAIL() << "expected a path-budget trip at 63";
-    } catch (const BudgetExceededError& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kPathBudgetExceeded);
-    }
-    const CoSynthesisResult bounded = run(mode, 63, BudgetAction::kBound);
-    EXPECT_EQ(bounded.status, ErrorCode::kPathBudgetExceeded);
-    EXPECT_EQ(bounded.path_count, 63u);
-    EXPECT_EQ(bounded.total_leaves, 64u);
-    EXPECT_DOUBLE_EQ(bounded.coverage, 63.0 / 64.0);
-    expect_same_bytes(bounded, truncated);
+  try {
+    run(63, BudgetAction::kThrow);
+    FAIL() << "expected a path-budget trip at 63";
+  } catch (const BudgetExceededError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kPathBudgetExceeded);
+  }
+  const CoSynthesisResult bounded = run(63, BudgetAction::kBound);
+  EXPECT_EQ(bounded.status, ErrorCode::kPathBudgetExceeded);
+  EXPECT_EQ(bounded.path_count, 63u);
+  EXPECT_EQ(bounded.total_leaves, 64u);
+  EXPECT_DOUBLE_EQ(bounded.coverage, 63.0 / 64.0);
+  expect_same_bytes(bounded, truncated);
 
-    for (const std::size_t max_paths : {64u, 65u}) {
-      SCOPED_TRACE("max_paths " + std::to_string(max_paths));
-      for (const BudgetAction action :
-           {BudgetAction::kThrow, BudgetAction::kBound}) {
-        expect_same_bytes(run(mode, max_paths, action), full);
-      }
+  for (const std::size_t max_paths : {64u, 65u}) {
+    SCOPED_TRACE("max_paths " + std::to_string(max_paths));
+    for (const BudgetAction action :
+         {BudgetAction::kThrow, BudgetAction::kBound}) {
+      expect_same_bytes(run(max_paths, action), full);
     }
   }
 }

@@ -60,9 +60,9 @@ TEST(CanonicalHash, DifferentContentSeparatesEncodingsAndDigests) {
 }
 
 TEST(CanonicalHash, EqualModelsDoNotShareAnExpansionUid) {
-  // uid() names an expansion, not content: the uid-keyed state
-  // (CoverCache, EngineHistory) must never confuse two expansions, even
-  // of one model or of two equal ones.
+  // uid() names an expansion, not content: the uid-keyed state (the
+  // workspace's private CoverCache) must never confuse two expansions,
+  // even of one model or of two equal ones.
   const Cpg a = make(42);
   const Cpg b = make(42);
   const FlatGraph f1 = FlatGraph::expand(a);

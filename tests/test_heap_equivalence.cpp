@@ -194,7 +194,7 @@ TEST(HeapEquivalence, LockedRequestsMatchLinearScan) {
 
 // The packed-mask boundary. Guard masks cover condition ids below 64
 // (Cube::kPackedBits); a model with more conditions takes the engine's
-// time-matrix knowledge and cover-cache fallbacks instead. A ladder CPG —
+// known-cube knowledge and cover-cache fallbacks instead. A ladder CPG —
 // the false arm of condition i leads to the disjunction of condition i+1,
 // processes alternate processors, the true arms run on hardware — has n
 // conditions and n + 1 paths; it is built just below, at and just above

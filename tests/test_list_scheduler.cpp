@@ -332,7 +332,7 @@ TEST(ListScheduler, GapFillingBeforeReservation) {
 }
 
 // --------------------------------------------------------------------------
-// Workspace reuse + checkpoint resume (EngineResume::kCheckpoint).
+// Workspace reuse.
 
 /// Both runs must be byte-identical: feasibility, every slot, and (when
 /// infeasible) the offending lock.
@@ -413,121 +413,6 @@ TEST(ListScheduler, DeadlockIsReportedNotThrown) {
   EXPECT_FALSE(res.feasible);
   EXPECT_FALSE(res.offending_lock.has_value());
   EXPECT_NE(res.reason.find("deadlock"), std::string::npos);
-}
-
-// Randomized guard-divergence equivalence: one EngineHistory chained
-// across every alternative path of seeded CPGs in enumeration order (the
-// tree driver's usage pattern — consecutive leaves share the longest
-// guard prefix), every chained run compared against a fresh from-scratch
-// engine. This is the engine-level pillar under the driver-level
-// tree-vs-list suite in test_path_tree.cpp. Mid-chain, a request with a
-// lock (the shape of a merge adjustment) is handed the same history: it
-// must run from scratch and leave the chain untouched, so the next
-// lock-free leaf resumes exactly as it would have without it. At the end
-// of the chain, a second expansion of the same Cpg is handed a copy of
-// the history: a history names its graph by FlatGraph::uid(), so that
-// run must start from scratch where the first expansion may resume.
-// Recording is demand-driven, as in the driver. Critical-path priorities
-// (even seeds) on random CPGs usually diverge between siblings at t=0,
-// so their chains rarely record; task-order priorities (odd seeds) leave
-// the guard divergence to the conditions, so those chains resume.
-TEST(ListScheduler, GuardResumeMatchesScratchAcrossChainedLeaves) {
-  std::size_t resumed = 0;
-  std::size_t resumed_steps = 0;
-  std::size_t resumed_after_lock = 0;
-  std::size_t resumable_on_first_expansion = 0;
-  for (std::uint64_t seed = 41; seed <= 70; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const PriorityPolicy policy = seed % 2 == 0
-                                      ? PriorityPolicy::kCriticalPath
-                                      : PriorityPolicy::kTaskOrder;
-    Rng rng(seed);
-    const Architecture arch = generate_random_architecture(rng);
-    RandomCpgParams params;
-    params.process_count = 20 + (seed % 3) * 10;
-    params.path_count = 6 + (seed % 4) * 6;
-    const Cpg g = generate_random_cpg(arch, params, rng);
-    const FlatGraph fg = FlatGraph::expand(g);
-    EngineWorkspace chain_ws;
-    EngineWorkspace scratch_ws;
-    EngineHistory chain;
-    // The same chain without the locked request, as the control.
-    EngineWorkspace control_ws;
-    EngineHistory control;
-    const std::vector<AltPath> paths = enumerate_paths(g);
-    const std::size_t locked_at = paths.size() / 2;
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      const AltPath& path = paths[i];
-      EngineRequest req;
-      req.label = path.label;
-      req.active = fg.active_tasks(path.label);
-      req.priority = compute_priorities(fg, req.active, policy);
-      EngineRequest scratch = req;
-      req.resume = EngineResume::kCheckpoint;
-      req.history = &chain;
-      const EngineResult b = run_list_scheduler(fg, scratch, scratch_ws);
-      if (i == locked_at) {
-        // Lock the sink at the slot the unlocked run gave it.
-        EngineRequest locked = req;
-        locked.locks.assign(fg.task_count(), std::nullopt);
-        const Slot& sink = b.schedule.slot(fg.sink_task());
-        locked.locks[fg.sink_task()] = TaskLock{sink.start, sink.resource};
-        const EngineResult l = run_list_scheduler(fg, locked, chain_ws);
-        EngineRequest locked_scratch = locked;
-        locked_scratch.resume = EngineResume::kFromScratch;
-        locked_scratch.history = nullptr;
-        expect_engine_equal(
-            fg, l, run_list_scheduler(fg, locked_scratch, scratch_ws));
-        EXPECT_FALSE(l.resumed);
-      }
-      const EngineResult a = run_list_scheduler(fg, req, chain_ws);
-      expect_engine_equal(fg, a, b);
-      ASSERT_TRUE(a.feasible);
-      req.history = &control;
-      const EngineResult c = run_list_scheduler(fg, req, control_ws);
-      EXPECT_EQ(a.resumed, c.resumed);
-      EXPECT_EQ(a.resumed_steps, c.resumed_steps);
-      if (i == locked_at && a.resumed) ++resumed_after_lock;
-      if (a.resumed) {
-        ++resumed;
-        resumed_steps += a.resumed_steps;
-      }
-    }
-    // The next-to-last leaf shares the longest prefix with the last one,
-    // which the chain recorded.
-    if (paths.size() >= 2) {
-      const AltPath& sibling = paths[paths.size() - 2];
-      const FlatGraph again = FlatGraph::expand(g);
-      for (const FlatGraph* graph : {&fg, &again}) {
-        EngineRequest req;
-        req.label = sibling.label;
-        req.active = graph->active_tasks(sibling.label);
-        req.priority = compute_priorities(*graph, req.active, policy);
-        const EngineResult scratch =
-            run_list_scheduler(*graph, req, scratch_ws);
-        EngineHistory history = chain;
-        req.resume = EngineResume::kCheckpoint;
-        req.history = &history;
-        EngineWorkspace ws;
-        const EngineResult r = run_list_scheduler(*graph, req, ws);
-        expect_engine_equal(*graph, r, scratch);
-        if (graph == &again) {
-          EXPECT_FALSE(r.resumed);
-        } else if (r.resumed) {
-          ++resumable_on_first_expansion;
-        }
-      }
-    }
-    if (::testing::Test::HasFailure()) break;
-  }
-  // The chain must actually reuse shared prefixes, not degrade to
-  // from-scratch runs — also right after a locked request.
-  EXPECT_GT(resumed, 0u);
-  EXPECT_GT(resumed_steps, 0u);
-  EXPECT_GT(resumed_after_lock, 0u);
-  // The second expansion's from-scratch runs are not for lack of a
-  // resumable history.
-  EXPECT_GT(resumable_on_first_expansion, 0u);
 }
 
 // Property sweep: schedules of random CPGs satisfy all physical

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <ostream>
-
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
-#include "io/table_csv.hpp"
 #include "models/fig1.hpp"
 #include "sched/driver.hpp"
 #include "test_util.hpp"
@@ -329,50 +326,8 @@ TEST(MergeConflicts, PaperParametersNeverLeaveConflictsUnresolved) {
 
 namespace {
 
-/// FNV-1a 64 of a table's CSV rendering.
-std::uint64_t table_digest(const ScheduleTable& table) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : table_csv_string(table)) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-struct MergeGolden {
-  std::uint64_t csv_digest;
-  std::size_t backsteps;
-  std::size_t adjustments;
-  std::size_t locks;
-  std::size_t conflicts;
-  std::size_t conflict_moves;
-  std::size_t unresolved_conflicts;
-  std::size_t relaxed_locks;
-  std::size_t column_clashes;
-
-  friend bool operator==(const MergeGolden& a, const MergeGolden& b) {
-    return a.csv_digest == b.csv_digest && a.backsteps == b.backsteps &&
-           a.adjustments == b.adjustments && a.locks == b.locks &&
-           a.conflicts == b.conflicts &&
-           a.conflict_moves == b.conflict_moves &&
-           a.unresolved_conflicts == b.unresolved_conflicts &&
-           a.relaxed_locks == b.relaxed_locks &&
-           a.column_clashes == b.column_clashes;
-  }
-  friend std::ostream& operator<<(std::ostream& os, const MergeGolden& g) {
-    return os << std::hex << "{0x" << g.csv_digest << std::dec << ", "
-              << g.backsteps << ", " << g.adjustments << ", " << g.locks
-              << ", " << g.conflicts << ", " << g.conflict_moves << ", "
-              << g.unresolved_conflicts << ", " << g.relaxed_locks << ", "
-              << g.column_clashes << "}";
-  }
-};
-
-MergeGolden golden_of(const ScheduleTable& table, const MergeStats& s) {
-  return MergeGolden{table_digest(table), s.backsteps, s.adjustments, s.locks,
-                     s.conflicts, s.conflict_moves, s.unresolved_conflicts,
-                     s.relaxed_locks, s.column_clashes};
-}
+using testing::golden_of;
+using testing::MergeGolden;
 
 /// Critical-path per-path schedules merged with the default options.
 MergeGolden merge_golden(const Cpg& g) {

@@ -7,6 +7,7 @@
 namespace cps {
 namespace {
 
+using testing::series_of_conditions;
 using testing::small_arch;
 
 Cpg two_nested_conditions() {
@@ -126,29 +127,6 @@ TEST(Paths, Fig1HasSixPaths) {
 // independent condition regions, so the enumerator must produce leaves
 // one at a time from O(depth) state instead of materializing the set.
 // ---------------------------------------------------------------------
-
-// `regions` independent two-way condition regions in series: 2^regions
-// alternative paths from 4 * regions + 2 processes.
-Cpg series_of_conditions(std::size_t regions) {
-  CpgBuilder b(small_arch());
-  std::optional<ProcessId> prev;
-  for (std::size_t i = 0; i < regions; ++i) {
-    const std::string n = std::to_string(i);
-    const CondId c = b.add_condition("C" + n);
-    const ProcessId d = b.add_process("D" + n, 0, 1);
-    const ProcessId t = b.add_process("T" + n, 0, 1);
-    const ProcessId f = b.add_process("F" + n, 0, 1);
-    const ProcessId j = b.add_process("J" + n, 0, 1);
-    b.add_cond_edge(d, t, Literal{c, true});
-    b.add_cond_edge(d, f, Literal{c, false});
-    b.add_edge(t, j);
-    b.add_edge(f, j);
-    b.mark_conjunction(j);
-    if (prev) b.add_edge(*prev, d);
-    prev = j;
-  }
-  return b.build();
-}
 
 TEST(PathEnumerator, MatchesEnumerationOrderOnFig1) {
   const Cpg g = build_fig1_cpg();

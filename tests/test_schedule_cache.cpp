@@ -112,10 +112,6 @@ TEST(ScheduleCache, ResultAffectingOptionChangesMissTheExactTier) {
       {"validate", [](CoSynthesisOptions& o) { o.validate = false; }},
       {"on_budget",
        [](CoSynthesisOptions& o) { o.on_budget = BudgetAction::kBound; }},
-      {"path_scheduling",
-       [](CoSynthesisOptions& o) {
-         o.path_scheduling = PathScheduling::kList;
-       }},
       {"max_paths", [](CoSynthesisOptions& o) { o.max_paths = 100; }},
   };
   for (const auto& [name, change] : changes) {
@@ -194,9 +190,10 @@ TEST(ScheduleCache, CorruptStoreEntriesDegradeToRecomputes) {
 }
 
 TEST(ScheduleCache, ShortStorePayloadsDegradeToRecomputes) {
-  // A payload's fixed part is 273 bytes (u64 version, code byte, 32 u64
+  // A payload's fixed part is 225 bytes (u64 version, code byte, 26 u64
   // scalars, u64 CSV length). Every shorter cut of a valid entry must
-  // read as undecodable and be recomputed, never read past its end.
+  // read as undecodable and be recomputed, never read past its end, and
+  // count as a miss and a store error, never as a hit.
   BatchConfig config = small_config();
   config.count = 1;
   const std::string oracle = run_json(config, 1, nullptr);
@@ -220,13 +217,18 @@ TEST(ScheduleCache, ShortStorePayloadsDegradeToRecomputes) {
     key_len |= std::uint64_t{static_cast<unsigned char>(blob[i])} << (8 * i);
   }
   const std::string frame = blob.substr(0, 8 + key_len);
-  ASSERT_GT(blob.size() - frame.size(), 273u);
-  for (std::size_t cut = 0; cut <= 272; ++cut) {
+  ASSERT_GT(blob.size() - frame.size(), 225u);
+  for (std::size_t cut = 0; cut <= 224; ++cut) {
     SCOPED_TRACE("payload cut to " + std::to_string(cut) + " bytes");
     store.put(keys.front(), frame + blob.substr(frame.size(), cut));
     ScheduleCache reopened(options);
     EXPECT_EQ(run_json(config, 1, &reopened), oracle);
-    EXPECT_EQ(reopened.stats().insertions, 1u);  // recomputed, replaced
+    const ScheduleCacheStats stats = reopened.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.store_hits, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.store_errors, 1u);
+    EXPECT_EQ(stats.insertions, 1u);  // recomputed, replaced
     if (::testing::Test::HasFailure()) break;
   }
 }
@@ -244,6 +246,22 @@ TEST(ScheduleCache, DigestCollisionsDegradeToMisses) {
   EXPECT_FALSE(cache.lookup(digest, key_b, &payload));
   EXPECT_TRUE(cache.lookup(digest, key_a, &payload));
   EXPECT_EQ(payload, "payload A");
+}
+
+TEST(ScheduleCache, RejectedMemoryPayloadIsAMiss) {
+  // The caller's acceptance check vets memory-tier payloads too: a
+  // rejected one is a miss (not a store error), and the entry stays.
+  ScheduleCache cache;
+  const std::string key = "key encoding";
+  const Digest128 digest = digest_of(key);
+  cache.insert(digest, key, "undecodable");
+  const auto rejects = [](std::string_view) { return false; };
+  EXPECT_FALSE(cache.lookup(digest, key, nullptr, rejects));
+  EXPECT_TRUE(cache.lookup(digest, key, nullptr));
+  const ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.store_errors, 0u);
 }
 
 TEST(ScheduleCache, CsvIsReplayedByteForByteOnExactHits) {

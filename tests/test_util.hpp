@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "cond/cube.hpp"
 #include "cpg/builder.hpp"
 #include "cpg/flat_graph.hpp"
+#include "io/table_csv.hpp"
+#include "sched/merge.hpp"
 #include "sched/schedule.hpp"
 #include "support/random.hpp"
 
@@ -35,6 +41,78 @@ inline Architecture small_arch() {
   arch.add_bus("bus");
   arch.set_cond_broadcast_time(1);
   return arch;
+}
+
+/// `regions` independent two-way condition regions in series on
+/// small_arch(): 2^regions alternative paths from 4 * regions + 2
+/// processes — the maximum-depth condition chain for its size.
+inline Cpg series_of_conditions(std::size_t regions) {
+  CpgBuilder b(small_arch());
+  std::optional<ProcessId> prev;
+  for (std::size_t i = 0; i < regions; ++i) {
+    const std::string n = std::to_string(i);
+    const CondId c = b.add_condition("C" + n);
+    const ProcessId d = b.add_process("D" + n, 0, 1);
+    const ProcessId t = b.add_process("T" + n, 0, 1);
+    const ProcessId f = b.add_process("F" + n, 0, 1);
+    const ProcessId j = b.add_process("J" + n, 0, 1);
+    b.add_cond_edge(d, t, Literal{c, true});
+    b.add_cond_edge(d, f, Literal{c, false});
+    b.add_edge(t, j);
+    b.add_edge(f, j);
+    b.mark_conjunction(j);
+    if (prev) b.add_edge(*prev, d);
+    prev = j;
+  }
+  return b.build();
+}
+
+/// FNV-1a 64 of a table's CSV rendering.
+inline std::uint64_t table_digest(const ScheduleTable& table) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : table_csv_string(table)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A merged table pinned as its CSV digest plus the eight MergeStats
+/// counters the walk can move (the speculative pair is always 0).
+struct MergeGolden {
+  std::uint64_t csv_digest;
+  std::size_t backsteps;
+  std::size_t adjustments;
+  std::size_t locks;
+  std::size_t conflicts;
+  std::size_t conflict_moves;
+  std::size_t unresolved_conflicts;
+  std::size_t relaxed_locks;
+  std::size_t column_clashes;
+
+  friend bool operator==(const MergeGolden& a, const MergeGolden& b) {
+    return a.csv_digest == b.csv_digest && a.backsteps == b.backsteps &&
+           a.adjustments == b.adjustments && a.locks == b.locks &&
+           a.conflicts == b.conflicts &&
+           a.conflict_moves == b.conflict_moves &&
+           a.unresolved_conflicts == b.unresolved_conflicts &&
+           a.relaxed_locks == b.relaxed_locks &&
+           a.column_clashes == b.column_clashes;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const MergeGolden& g) {
+    return os << std::hex << "{0x" << g.csv_digest << std::dec << ", "
+              << g.backsteps << ", " << g.adjustments << ", " << g.locks
+              << ", " << g.conflicts << ", " << g.conflict_moves << ", "
+              << g.unresolved_conflicts << ", " << g.relaxed_locks << ", "
+              << g.column_clashes << "}";
+  }
+};
+
+inline MergeGolden golden_of(const ScheduleTable& table,
+                             const MergeStats& s) {
+  return MergeGolden{table_digest(table), s.backsteps, s.adjustments, s.locks,
+                     s.conflicts, s.conflict_moves, s.unresolved_conflicts,
+                     s.relaxed_locks, s.column_clashes};
 }
 
 /// Physical-realizability check for a PathSchedule: dependencies among
