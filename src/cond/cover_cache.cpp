@@ -13,7 +13,6 @@ std::size_t CoverCache::KeyHash::operator()(const Key& k) const {
 void CoverCache::evict_if_full() {
   if (size() < max_entries_) return;
   covered_.clear();
-  disjoint_.clear();
   ++resets_;
 }
 
@@ -30,22 +29,8 @@ bool CoverCache::covered(const Dnf& dnf, const Cube& context) {
   return result;
 }
 
-bool CoverCache::disjoint(const Dnf& dnf, const Cube& context) {
-  Key key{&dnf, context};
-  if (const auto it = disjoint_.find(key); it != disjoint_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  const bool result = dnf.and_cube(context).is_false();
-  evict_if_full();
-  disjoint_.emplace(std::move(key), result);
-  return result;
-}
-
 void CoverCache::clear() {
   covered_.clear();
-  disjoint_.clear();
   hits_ = 0;
   misses_ = 0;
   resets_ = 0;

@@ -1,8 +1,11 @@
-// CoverCache: memoization of DNF/cube intersection queries.
+// CoverCache: memoization of DNF coverage queries.
 //
 // The list scheduler asks `guard.covered_by_context(known)` for every
 // ready-task candidate at every scheduling step, and the table merge
-// re-asks the same questions for every adjusted path. The set of distinct
+// re-asks the same questions for every adjusted path. Callers answer
+// single-cube guards (and any guard one of whose cubes the context
+// implies) exactly themselves; only the remaining multi-cube guards need
+// a Shannon expansion, and reach the cache. The set of distinct
 // (guard, context) pairs per co-synthesis is tiny compared to the number
 // of queries, so a hash map keyed by the guard's identity and the context
 // cube turns the repeated Shannon expansions into O(1) lookups. Contexts
@@ -46,10 +49,7 @@ class CoverCache {
   /// Memoized `dnf.covered_by_context(context)`.
   bool covered(const Dnf& dnf, const Cube& context);
 
-  /// Memoized `dnf.and_cube(context).is_false()` (disjointness test).
-  bool disjoint(const Dnf& dnf, const Cube& context);
-
-  std::size_t size() const { return covered_.size() + disjoint_.size(); }
+  std::size_t size() const { return covered_.size(); }
   std::size_t max_entries() const { return max_entries_; }
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
@@ -77,7 +77,6 @@ class CoverCache {
   void evict_if_full();
 
   std::unordered_map<Key, bool, KeyHash> covered_;
-  std::unordered_map<Key, bool, KeyHash> disjoint_;
   std::size_t max_entries_ = kDefaultMaxEntries;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -222,18 +222,25 @@ std::vector<bool> FlatGraph::active_tasks(const Cube& label,
     }
     // Fast path: a cube all of whose literals the label satisfies makes
     // the guard covered; for single-cube guards this is exact.
+    bool covered = false;
     if (masks_enabled_) {
-      bool covered = false;
       for (const GuardCubeMask& cube : info.cubes) {
         if (cube.covered_by(ctx.pos, ctx.neg)) {
           covered = true;
           break;
         }
       }
-      if (covered || info.cubes.size() <= 1) {
-        active[t.id] = covered;
-        continue;
+    } else {
+      for (const Cube& cube : t.guard.cubes()) {
+        if (label.implies(cube)) {
+          covered = true;
+          break;
+        }
       }
+    }
+    if (covered || t.guard.cubes().size() <= 1) {
+      active[t.id] = covered;
+      continue;
     }
     active[t.id] = cache ? cache->covered(t.guard, label)
                          : t.guard.covered_by_context(label);

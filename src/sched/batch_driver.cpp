@@ -351,14 +351,9 @@ BatchItem run_batch_item(const BatchConfig& config, std::size_t index,
       const Architecture arch = generate_random_architecture(rng, config.arch);
       const Cpg g = generate_random_cpg(arch, config.cpg, rng);
 
-      // Every item co-synthesizes on its own engine workspace: a workspace
-      // is single-threaded and sharing one across pool workers would both
-      // race and make the per-item reuse counters depend on scheduling
-      // (breaking the byte-identical JSON guarantee). Items do not retain
-      // their path vectors — thousand-graph batches would otherwise carry
-      // O(paths × depth) dead weight apiece.
+      // Items do not retain their path vectors — thousand-graph batches
+      // would otherwise carry O(paths × depth) dead weight apiece.
       CoSynthesisOptions synthesis = config.synthesis;
-      synthesis.workspace = nullptr;
       synthesis.keep_paths = false;
       synthesis.budget = own_budget ? &budget : nullptr;
 
@@ -480,11 +475,6 @@ BatchResult run_batch(const BatchConfig& config) {
       pool.parallel_for(config.count, [&](std::size_t i) {
         result.items[i] = run_batch_item(config, i);
       });
-      // Drain before snapshotting: parallel_for joined the items, but
-      // only an idle pool guarantees submitted == executed (+ cancelled)
-      // with pending == 0 — the balanced snapshot the JSON reports.
-      pool.wait_idle();
-      result.summary.pool = pool.stats();
     }
   }
   result.summary.wall_ms = ms_between(t_begin, clock_type::now());
@@ -544,23 +534,9 @@ std::string batch_result_to_json(const BatchResult& result,
     write_stat(w, "validate", s.validate_ms);
     write_stat(w, "total", s.total_ms);
     w.end_object();
-    // Work-stealing runtime counters ride the include_timing gate: like
-    // wall_ms they are a legitimate race (who stole what when), so they
-    // must stay out of byte-identical golden output.
-    w.key("runtime").begin_object();
-    w.field("submitted", s.pool.submitted);
-    w.field("executed", s.pool.executed);
-    w.field("local_hits", s.pool.local_hits);
-    w.field("steals", s.pool.steals);
-    w.field("injected", s.pool.injected);
-    w.field("help_runs", s.pool.help_runs);
-    w.field("max_help_depth", s.pool.max_help_depth);
-    w.field("pending", s.pool.pending);
-    w.field("cancelled_tasks", s.pool.cancelled_tasks);
-    w.field("dropped_errors", s.pool.dropped_errors);
-    w.end_object();
-    // Schedule-cache counters ride the same gate: deterministic for an
-    // isolated batch, but a shared (daemon) cache carries earlier traffic.
+    // Schedule-cache counters ride the include_timing gate: deterministic
+    // for an isolated batch, but a shared (daemon) cache carries earlier
+    // traffic.
     if (s.cache_enabled) {
       w.key("cache").begin_object();
       write_cache_stats_json(w, s.cache);

@@ -2,9 +2,9 @@
 //
 // The paper's experiments (§6) co-synthesize ~1080 random CPGs; the
 // ROADMAP's north star is "thousands of scenarios, as fast as the hardware
-// allows". This driver is the scaling substrate: one work-stealing
-// runtime (support/thread_pool) co-synthesizes N random CPGs in parallel,
-// one whole item per task; each item runs schedule_cpg's serial walk.
+// allows". This driver is the scaling substrate: one worker pool
+// (support/thread_pool) co-synthesizes N random CPGs in parallel, one
+// whole item per task; each item runs schedule_cpg's serial walk.
 // Each graph derives from a deterministic per-task seed (base_seed +
 // index), so results are byte-identical regardless of thread count or
 // completion order. Per-graph pipeline-stage timings and delay/merge
@@ -52,12 +52,12 @@ struct BatchConfig {
   RandomArchParams arch;
   RandomCpgParams cpg;
   /// Per-item co-synthesis knobs. Most are passed through as-is; the
-  /// driver overrides workspace/keep_paths per item (see
-  /// run_batch_item). synthesis.workspace_pool *does* flow through: a
-  /// thread-safe pool of warm engine workspaces shared by every item
-  /// (the service sets one per session). Results are identical with or
-  /// without it, but the per-item "workspace" reuse counters then depend
-  /// on which item drew a warm workspace — serialize with
+  /// driver overrides keep_paths per item (see run_batch_item).
+  /// synthesis.workspace_pool flows through: a thread-safe pool of warm
+  /// engine workspaces shared by every item (the service sets one per
+  /// session). Results are identical with or without it, but the
+  /// per-item "workspace" reuse counters then depend on which item drew
+  /// a warm workspace — serialize with
   /// BatchJsonOptions::include_reuse_counters off when comparing such
   /// runs byte-for-byte.
   CoSynthesisOptions synthesis;
@@ -145,13 +145,8 @@ struct BatchSummary {
   StatAccumulator validate_ms;
   StatAccumulator total_ms;
 
-  /// Work-stealing runtime counters over the whole batch (zero for serial
-  /// runs — no pool exists then). Like the wall-clock fields these are
-  /// timing-dependent (which worker stole what is a legitimate race), so
-  /// the JSON writer gates them behind include_timing.
-  PoolStats pool;
   /// Snapshot of BatchConfig::cache at batch end (zero when none). Gated
-  /// behind include_timing the same way PoolStats are: the counters are a
+  /// behind include_timing like the wall-clock fields: the counters are a
   /// pure function of the request set for one batch, but on a shared
   /// (daemon) cache they accumulate whatever earlier traffic left behind.
   ScheduleCacheStats cache;

@@ -67,18 +67,16 @@ ScheduleStage run_schedule_stage(const Cpg& g, const FlatGraph& flat,
                                  const CoSynthesisOptions& options, Rng& rng) {
   ScheduleStage out;
   CoverCache cover_cache;
-  // Workspace resolution: an explicit external workspace wins, then a
-  // warm lease from the pool, then a call-local one. All three are
+  // A warm lease from the pool, else a call-local workspace. Both are
   // result-equivalent; the stats delta below keeps the serialized
   // counters scoped to this call either way.
   WorkspaceLease lease;
   std::optional<EngineWorkspace> owned_workspace;
-  EngineWorkspace* workspace = options.workspace;
-  if (workspace == nullptr && options.workspace_pool != nullptr) {
+  EngineWorkspace* workspace = nullptr;
+  if (options.workspace_pool != nullptr) {
     lease = options.workspace_pool->acquire();
     workspace = lease.get();
-  }
-  if (workspace == nullptr) {
+  } else {
     owned_workspace.emplace();
     workspace = &*owned_workspace;
   }

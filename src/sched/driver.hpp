@@ -54,16 +54,10 @@ struct CoSynthesisOptions {
   /// BudgetExceededError); workspaces stay reusable and a subsequent
   /// clean run is byte-identical to a never-interrupted one.
   RunBudget* budget = nullptr;
-  /// Optional externally owned engine workspace for the per-path
-  /// scheduling loop: callers that co-synthesize repeatedly on one thread
-  /// (benches, custom harnesses) can pay the buffer allocations once
-  /// across calls. Must outlive the call and must not be used
-  /// concurrently. nullptr = the flow owns a workspace per call (still
-  /// reused across all paths of that call).
-  EngineWorkspace* workspace = nullptr;
   /// Optional thread-safe pool of warm engine workspaces (non-owning;
-  /// must outlive the call). When `workspace` is unset the walk leases a
-  /// workspace instead of constructing one, so repeated calls — a
+  /// must outlive the call). When set, the walk leases a workspace
+  /// instead of constructing one (nullptr = a call-local workspace,
+  /// reused across all paths of that call), so repeated calls — a
   /// service session, a batch rerun — stop re-paying the engine-buffer
   /// allocations. Results are byte-identical with or without a pool; only
   /// WorkspaceStats reuse counters reflect the warm start (see
@@ -104,8 +98,8 @@ struct CoSynthesisResult {
   CoverCacheStats cover_cache;
   /// Engine-workspace counters of the per-path scheduling loop (buffer
   /// reuse across the paths of this call); counts only this call's runs
-  /// even on a shared external workspace. Deterministic unless the
-  /// workspace came warm from an external workspace or pool.
+  /// even on a pooled workspace. Deterministic unless the workspace came
+  /// warm from the pool.
   WorkspaceStats workspace;
   /// Engine-workspace counters of the merge's adjustment runs (see
   /// MergeResult::workspace).

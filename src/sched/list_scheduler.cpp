@@ -199,6 +199,12 @@ bool Engine::guard_covered(const Dnf& guard, const TaskGuardInfo& info,
     }
     return cache_->covered(guard, known_context(res, info.mention));
   }
+  // Past the packed masks the same exact tests run on the known cube;
+  // only a multi-cube guard that no single cube covers needs the cache.
+  for (const Cube& cube : guard.cubes()) {
+    if (known_[res].implies(cube)) return true;
+  }
+  if (guard.cubes().size() <= 1) return false;
   return cache_->covered(guard, known_[res]);
 }
 
@@ -213,7 +219,10 @@ bool Engine::guard_disjoint(const Dnf& guard, const TaskGuardInfo& info,
     }
     return true;
   }
-  return cache_->disjoint(guard, known_[res]);
+  for (const Cube& cube : guard.cubes()) {
+    if (cube.compatible(known_[res])) return false;
+  }
+  return true;
 }
 
 bool Engine::knowledge_ok(TaskId t, PeId res) const {

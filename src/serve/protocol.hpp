@@ -19,7 +19,7 @@
 //   {"id": 3, "status": "ok", "draining": true}         // shutdown ack
 //   {"id": 9, "status": "ok", "pong": true, "stats"..}  // ping
 //   {"id": 4, "status": "ok", "server".., "cache"..,    // stats: cache +
-//    "workspace_pool".., "runtime"..}                   //  pool counters
+//    "workspace_pool"..}                                //  pool counters
 //
 // "item" is byte-for-byte the element run_batch's JSON would contain for
 // the same index (timing and the reuse-counter blocks omitted — see

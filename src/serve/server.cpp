@@ -558,15 +558,6 @@ std::string Server::make_stats_response(std::uint64_t id) {
   w.field("leases", static_cast<std::uint64_t>(ws.leases));
   w.field("warm_hits", static_cast<std::uint64_t>(ws.warm_hits));
   w.end_object();
-  const PoolStats rt = pool_.stats();
-  w.key("runtime").begin_object();
-  w.field("submitted", rt.submitted);
-  w.field("executed", rt.executed);
-  w.field("local_hits", rt.local_hits);
-  w.field("steals", rt.steals);
-  w.field("injected", rt.injected);
-  w.field("help_runs", rt.help_runs);
-  w.end_object();
   w.end_object();
   return w.str();
 }

@@ -1,10 +1,11 @@
 // Long-lived co-synthesis daemon core.
 //
 // One Server owns a listening AF_UNIX socket, a poll() event loop, and a
-// work-stealing ThreadPool. The event loop does only cheap work —
-// accepting, framing, parsing, admission control, response flushing —
-// and never runs the pipeline itself: admitted requests queue in FIFO
-// order and dispatch onto the pool, one task per request, where each one
+// ThreadPool. The event loop does only cheap work — accepting, framing,
+// parsing, admission control, response flushing — and never runs the
+// pipeline itself: admitted requests queue in FIFO order and dispatch
+// onto the pool's FIFO queue, one task per request and at most
+// thread_count() at a time (try_dispatch), where each one
 // runs the same run_batch_item the offline batch driver runs (on the
 // worker's thread: a request's walk is serial). Workers hand finished
 // response frames back through a lock-free-enough completion queue plus a

@@ -90,20 +90,25 @@ TEST(BatchDriver, DifferentSeedsChangeResults) {
 }
 
 TEST(BatchDriver, JsonOmitsWalkAndRuntimeCounters) {
-  const BatchConfig config = small_config();
-  const std::string json =
-      batch_result_to_json(run_batch(config), deterministic_json());
+  BatchConfig config = small_config();
+  config.threads = 2;
+  const BatchResult result = run_batch(config);
+  const std::string json = batch_result_to_json(result, deterministic_json());
   // The guard-trie walk and its counters are gone from the format.
   EXPECT_EQ(json.find("\"path_tree\""), std::string::npos);
   EXPECT_EQ(json.find("\"path_scheduling\""), std::string::npos);
-  // Deterministic JSON must not leak the timing-gated runtime counters.
   EXPECT_EQ(json.find("\"runtime\""), std::string::npos);
-  EXPECT_EQ(json.find("\"steals\""), std::string::npos);
+  // The pool keeps no counters, so the timing JSON of a pooled batch has
+  // no runtime block either.
+  const std::string timed = batch_result_to_json(result, BatchJsonOptions{});
+  EXPECT_NE(timed.find("\"wall_ms\""), std::string::npos);
+  EXPECT_EQ(timed.find("\"runtime\""), std::string::npos);
+  EXPECT_EQ(timed.find("\"steals\""), std::string::npos);
 }
 
 // 40 seeds, byte-identical JSON at every thread count. The 1-thread run
 // has no pool at all (the serial reference); the others run whole items
-// on one runtime — none of which may leak into deterministic output.
+// on one pool — none of which may leak into deterministic output.
 TEST(BatchDriver, FortySeedSweepIsByteIdenticalAt1248Threads) {
   BatchConfig config;
   config.count = 40;
@@ -119,22 +124,6 @@ TEST(BatchDriver, FortySeedSweepIsByteIdenticalAt1248Threads) {
         batch_result_to_json(run_batch(config), deterministic_json());
     EXPECT_EQ(reference, pooled) << "thread count " << threads;
   }
-}
-
-// A pooled batch runs its items on the runtime and reports a balanced
-// runtime snapshot.
-TEST(BatchDriver, PooledBatchReportsABalancedRuntimeSnapshot) {
-  BatchConfig config = small_config();
-  config.cpg.path_count = 8;
-  config.threads = 4;
-  const BatchResult result = run_batch(config);
-  ASSERT_EQ(result.summary.ok_count, config.count);
-  const PoolStats& pool = result.summary.pool;
-  // run_batch drains the pool before snapshotting, so the snapshot is
-  // exactly balanced.
-  EXPECT_GT(pool.executed, 0u);
-  EXPECT_EQ(pool.executed, pool.submitted);
-  EXPECT_EQ(pool.pending, 0u);
 }
 
 // A shared warm-workspace pool (the service's per-session reuse) must

@@ -14,7 +14,6 @@
 // (CPS_FAULT_INJECT=ON); the CI fault job runs it under ASan.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,15 +21,13 @@
 #include "sched/batch_driver.hpp"
 #include "sched/schedule_cache.hpp"
 #include "support/fault.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
 using namespace cps;
 
 /// Sites a serial batch deterministically passes through, in pipeline
-/// order. "pool.group_task" is exercised at the TaskGroup level (a serial
-/// batch never routes work through one).
+/// order.
 const char* const kBatchSites[] = {
     "batch.item", "engine.run", "engine.step", "merge.adjust",
 };
@@ -232,36 +229,6 @@ TEST_F(FaultInject, NonTransientFaultNeverRetries) {
   EXPECT_FALSE(result.items[0].ok);
   EXPECT_EQ(result.items[0].attempts, 1u);
   EXPECT_EQ(result.items[0].retries, 0u);
-}
-
-TEST_F(FaultInject, PoolGroupTaskFaultCrossesTheStealBoundaryTyped) {
-  // The pool.group_task site sits inside the TaskGroup wrapper, so the
-  // fault is thrown on whatever thread (worker or help-running waiter)
-  // executes the task — wait() must still rethrow it typed, and the
-  // pool must survive with its error ledger balanced.
-  ThreadPool pool(2);
-  const PoolStats before = pool.stats();
-  fault::FaultSpec spec;
-  spec.fire_at = 1;
-  fault::arm("pool.group_task", spec);
-  TaskGroup group(pool);
-  for (int i = 0; i < 16; ++i) {
-    group.submit([] {});
-  }
-  try {
-    group.wait();
-    FAIL() << "expected the injected fault to rethrow";
-  } catch (const InjectedFault& e) {
-    EXPECT_EQ(e.site(), "pool.group_task");
-    EXPECT_EQ(e.code(), ErrorCode::kInjectedFault);
-  }
-  fault::disarm_all();
-  // The pool survives and the error was observed, not dropped.
-  std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
-  pool.wait_idle();
-  EXPECT_EQ(pool.stats().delta_since(before).dropped_errors, 0u);
 }
 
 TEST_F(FaultInject, FireAtOrdinalSelectsALaterItem) {

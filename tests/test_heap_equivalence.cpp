@@ -20,6 +20,8 @@
 namespace {
 
 using namespace cps;
+using cps::testing::golden_of;
+using cps::testing::MergeGolden;
 using cps::testing::reference_run;
 
 EngineRequest path_request(const FlatGraph& fg, const AltPath& path,
@@ -237,6 +239,32 @@ TEST(HeapEquivalence, PackedMaskBoundaryLadder) {
       expect_identical_schedules(fg, heap, linear.schedule);
     }
     EXPECT_NO_THROW(schedule_cpg(g));  // validates the merged table
+  }
+}
+
+// Past the packed masks every ladder guard is a single cube, so coverage
+// and disjointness are decided exactly on the known cube and the cover
+// cache is never consulted. The tables are pinned to goldens recorded
+// while those checks still went through the cache.
+TEST(HeapEquivalence, LadderPastTheMaskBoundaryNeedsNoCoverCache) {
+  const struct {
+    std::size_t conditions;
+    MergeGolden merge;
+    Time delta;  // delta_M == delta_max
+  } ladders[] = {
+      {65, {0x467056a142dcbb69ull, 65, 65, 6435, 0, 0, 0, 0, 0}, 295},
+      {96, {0x28214118419e35adull, 96, 96, 13968, 0, 0, 0, 0, 0}, 435},
+  };
+  for (const auto& ladder : ladders) {
+    SCOPED_TRACE(std::to_string(ladder.conditions) + " conditions");
+    const Cpg g = ladder_cpg(ladder.conditions);
+    const CoSynthesisResult result = schedule_cpg(g);
+    EXPECT_FALSE(result.flat->masks_enabled());
+    EXPECT_EQ(result.cover_cache.misses, 0u);
+    EXPECT_EQ(result.cover_cache.hits, 0u);
+    EXPECT_EQ(golden_of(result.table, result.merge_stats), ladder.merge);
+    EXPECT_EQ(result.delays.delta_m, ladder.delta);
+    EXPECT_EQ(result.delays.delta_max, ladder.delta);
   }
 }
 

@@ -1,7 +1,6 @@
-// Stress coverage for the work-stealing runtime: nesting (tasks that
-// submit and help-run child tasks), exceptions crossing steal boundaries,
-// worker_index() stability under help-running, FIFO order of external
-// submissions, and the scheduler counters. These are the scenarios the
+// Stress coverage for the FIFO worker pool: nested parallel_for, a
+// parallel_for that the caller finishes alone, FIFO order of submissions,
+// body errors, and concurrent submitters. These are the scenarios the
 // batch driver and the daemon rely on; the file also anchors the
 // ThreadSanitizer CI job, so prefer many small concurrent interactions
 // over big single-threaded assertions.
@@ -9,12 +8,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <future>
-#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +22,7 @@ namespace {
 
 using namespace cps;
 
-/// Blocks the worker that picks it up until release(); start_future lets
+/// Blocks the worker that picks it up until release(); wait_started lets
 /// the test wait until the task is actually running (not merely queued),
 /// which makes single-worker ordering tests deterministic.
 class Gate {
@@ -52,226 +50,143 @@ class Gate {
   std::promise<void> started_;
 };
 
-void spawn_tree(ThreadPool& pool, std::atomic<int>& count, int depth) {
-  if (depth == 0) return;
-  TaskGroup group(pool);
-  for (int i = 0; i < 3; ++i) {
-    group.submit([&pool, &count, depth] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      spawn_tree(pool, count, depth - 1);
-    });
-  }
-  group.wait();
-}
-
-TEST(PoolStress, NestedSubmitsCompleteAtEveryPoolSize) {
-  // 3 + 9 + 27 + 81 tasks over four nesting levels; every level waits on
-  // the next, so any lost task or nesting deadlock hangs or undercounts.
+TEST(PoolStress, NestedParallelForThreeLevelsDeepAtEveryPoolSize) {
+  // 4 × 4 × 4 innermost bodies. Every level's caller takes indices
+  // itself and waits only for bodies running elsewhere, so nesting never
+  // waits on a queued helper: a lost index undercounts, a wait on the
+  // queue hangs.
   for (std::size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
-    std::atomic<int> count{0};
-    spawn_tree(pool, count, 4);
-    EXPECT_EQ(count.load(), 120) << "pool size " << threads;
-  }
-}
-
-TEST(PoolStress, NestedParallelForSaturatesWithoutDeadlock) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  pool.parallel_for(16, [&](std::size_t) {
-    pool.parallel_for(64, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), 16 * 64);
-  const PoolStats stats = pool.stats();
-  EXPECT_GT(stats.submitted, 16u);
-  EXPECT_GT(stats.local_hits + stats.steals + stats.help_runs, 0u);
-}
-
-TEST(PoolStress, FirstExceptionBySubmissionOrderWinsAcrossStealBoundaries) {
-  // Which thread runs which task is a race; the *reported* error is not:
-  // wait() rethrows the first thrower by submission order, so task 3 wins
-  // every round no matter how late it is scheduled or where it runs.
-  ThreadPool pool(3);
-  for (int round = 0; round < 25; ++round) {
-    TaskGroup group(pool);
-    for (int i = 0; i < 16; ++i) {
-      group.submit([i] {
-        if (i % 4 == 3) throw std::runtime_error(std::to_string(i));
+    std::atomic<int> total{0};
+    pool.parallel_for(4, [&](std::size_t) {
+      pool.parallel_for(4, [&](std::size_t) {
+        pool.parallel_for(4, [&](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
       });
-    }
-    try {
-      group.wait();
-      FAIL() << "expected wait() to rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "3");
-    }
-  }
-}
-
-TEST(PoolStress, ParallelForPropagatesBodyErrorAndPoolSurvives) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(32,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::logic_error("boom");
-                                 }),
-               std::logic_error);
-  // The pool outlives the failure: subsequent work runs normally.
-  std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
-  pool.wait_idle();
-}
-
-TEST(PoolStress, WorkerIndexIsStableUnderHelpRunning) {
-  // worker_index() must identify the *executing thread*, not the task's
-  // origin: a help-run child observes the waiter's index. Recording every
-  // (thread, index) pair over a nested workload, each thread must see
-  // exactly one index — anything else would misroute push_task to
-  // another worker's deque.
-  ThreadPool pool(2);
-  std::mutex mutex;
-  std::map<std::thread::id, std::set<std::size_t>> seen;
-  const auto record = [&] {
-    std::lock_guard<std::mutex> lock(mutex);
-    seen[std::this_thread::get_id()].insert(pool.worker_index());
-  };
-  TaskGroup outer(pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.submit([&] {
-      record();
-      TaskGroup inner(pool);
-      for (int j = 0; j < 8; ++j) inner.submit(record);
-      inner.wait();  // help-runs children on this worker
-      record();
     });
+    EXPECT_EQ(total.load(), 64) << "pool size " << threads;
   }
-  outer.wait();  // help-runs tasks on the external caller too
-  record();
-  for (const auto& entry : seen) {
-    EXPECT_EQ(entry.second.size(), 1u);
-    const std::size_t index = *entry.second.begin();
-    EXPECT_TRUE(index == ThreadPool::kNotAWorker ||
-                index < pool.thread_count());
-  }
-  // The external caller is never a worker, even while help-running.
-  const auto it = seen.find(std::this_thread::get_id());
-  ASSERT_NE(it, seen.end());
-  EXPECT_EQ(*it->second.begin(), ThreadPool::kNotAWorker);
 }
 
-TEST(PoolStress, ExternalSubmissionsDrainInFifoOrder) {
+TEST(PoolStress, CallerFinishesAloneWhileTheOnlyWorkerIsHeld) {
+  // The single worker is pinned at the gate, so parallel_for's helper
+  // stays queued and the caller runs every index itself. The helper runs
+  // after the call returned and `body` is gone: it must find no index
+  // left and must not touch the body (a sanitizer build would flag the
+  // dangling call).
+  ThreadPool pool(1);
+  Gate gate;
+  pool.submit(gate.task());
+  gate.wait_started();
+  std::set<std::thread::id> threads;
+  std::atomic<int> ran{0};
+  {
+    const std::function<void(std::size_t)> body = [&](std::size_t) {
+      threads.insert(std::this_thread::get_id());  // caller only: no race
+      ran.fetch_add(1, std::memory_order_relaxed);
+    };
+    pool.parallel_for(8, body);
+  }
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  // FIFO: the marker runs after the stale helper.
+  std::atomic<bool> marker{false};
+  pool.submit([&] { marker.store(true); });
+  gate.release();
+  pool.wait_idle();
+  EXPECT_TRUE(marker.load());
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(PoolStress, SubmissionsDrainInFifoOrder) {
   // One worker, held at the gate while the backlog builds up, then
-  // released: submissions from outside the pool drain in arrival order.
+  // released: submissions drain in arrival order.
   ThreadPool pool(1);
   Gate gate;
   pool.submit(gate.task());
   gate.wait_started();
   std::mutex mutex;
   std::vector<int> order;
-  const auto tag = [&](int value) {
-    return [&mutex, &order, value] {
+  for (int value = 0; value < 16; ++value) {
+    pool.submit([&mutex, &order, value] {
       std::lock_guard<std::mutex> lock(mutex);
       order.push_back(value);
-    };
-  };
-  for (int value = 0; value < 5; ++value) pool.submit(tag(value));
-  gate.release();
-  pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(PoolStress, WaiterHelpRunsTheGroupWhenAllWorkersAreBusy) {
-  // The single worker is pinned at the gate, so every group task must be
-  // help-run by the waiting (external) thread — nesting never waits on a
-  // worker becoming free.
-  ThreadPool pool(1);
-  const PoolStats before = pool.stats();
-  Gate gate;
-  pool.submit(gate.task());
-  gate.wait_started();
-  std::atomic<int> ran{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 8; ++i) {
-    group.submit([&] { ran.fetch_add(1); });
-  }
-  group.wait();
-  EXPECT_EQ(ran.load(), 8);
-  const PoolStats delta = pool.stats().delta_since(before);
-  EXPECT_EQ(delta.help_runs, 8u);
-  EXPECT_GE(delta.max_help_depth, 1u);
-  gate.release();
-  pool.wait_idle();
-}
-
-TEST(PoolStress, CountersBalanceOnceIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 64);
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, 64u);
-  EXPECT_EQ(stats.executed, 64u);
-  // The drained pool must report a *balanced* snapshot: nothing pending,
-  // nothing unaccounted. (PR 6 left stats() racy against in-flight
-  // submissions; pending makes the ledger explicit.)
-  EXPECT_EQ(stats.pending, 0u);
-  EXPECT_EQ(stats.dropped_errors, 0u);
-  // External submissions arrive through the injection queue; every pop
-  // is attributed to exactly one source.
-  EXPECT_EQ(stats.local_hits + stats.steals + stats.injected, 64u);
-  EXPECT_GT(stats.injected, 0u);
-}
-
-TEST(PoolStress, CountersBalanceUnderConcurrentNestedChurn) {
-  // Hammer the ledger from many directions at once — external submits,
-  // nested groups — then drain and require exact balance: submitted ==
-  // executed and pending == 0 after wait_idle(), at every pool size. This
-  // is the invariant stats() readers (batch JSON) rely on.
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    std::atomic<int> ran{0};
-    pool.parallel_for(16, [&](std::size_t) {
-      TaskGroup inner(pool);
-      for (int j = 0; j < 8; ++j) {
-        inner.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-      }
-      inner.wait();
     });
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 16 * 8) << "pool size " << threads;
-    const PoolStats stats = pool.stats();
-    EXPECT_EQ(stats.submitted, stats.executed) << "pool size " << threads;
-    EXPECT_EQ(stats.pending, 0u) << "pool size " << threads;
-    EXPECT_EQ(stats.cancelled_tasks, 0u);
-    EXPECT_EQ(stats.dropped_errors, 0u);
   }
+  gate.release();
+  pool.wait_idle();
+  std::vector<int> expected(16);
+  for (int value = 0; value < 16; ++value) expected[value] = value;
+  EXPECT_EQ(order, expected);
 }
 
-TEST(PoolStress, ParallelForQuiescesItsTasksBeforeReturning) {
-  // parallel_for runs its helpers as one TaskGroup. A group task counts
-  // itself executed before it releases the group's waiter
-  // (ThreadPool::run_task), so the ledger must balance the moment
-  // parallel_for returns — no wait_idle() allowed here, that is the point.
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    for (std::size_t count : {2u, 7u, 64u}) {
-      std::atomic<std::size_t> ran{0};
-      pool.parallel_for(count, [&](std::size_t) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-      EXPECT_EQ(ran.load(), count);
-      const PoolStats stats = pool.stats();
-      EXPECT_GT(stats.submitted, 0u) << "count " << count;
-      EXPECT_EQ(stats.submitted, stats.executed)
-          << "pool size " << threads << ", count " << count;
-      EXPECT_EQ(stats.pending, 0u)
-          << "pool size " << threads << ", count " << count;
+TEST(PoolStress, DestructorRunsEveryQueuedJob) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    Gate gate;
+    pool.submit(gate.task());
+    gate.wait_started();
+    for (int i = 0; i < 32; ++i) {
+      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
+    gate.release();
+  }
+  EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(PoolStress, ParallelForPropagatesBodyErrorAndPoolSurvives) {
+  // Over repeated rounds, on whichever thread the failing index lands:
+  // the error reaches the caller only after every running body finished,
+  // and the pool serves the next call normally.
+  ThreadPool pool(3);
+  for (int round = 0; round < 25; ++round) {
+    std::atomic<int> running{0};
+    EXPECT_THROW(pool.parallel_for(32,
+                                   [&](std::size_t i) {
+                                     running.fetch_add(1);
+                                     std::this_thread::yield();
+                                     running.fetch_sub(1);
+                                     if (i == 7) {
+                                       throw std::logic_error("boom");
+                                     }
+                                   }),
+                 std::logic_error)
+        << "round " << round;
+    EXPECT_EQ(running.load(), 0) << "round " << round;
+    std::atomic<int> ran{0};
+    pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 8) << "round " << round;
+  }
+  pool.wait_idle();
+}
+
+TEST(PoolStress, ConcurrentSubmittersAndCallers) {
+  // Four outside threads submit jobs while two others run parallel_for
+  // on the same pool; every job and every index runs exactly once.
+  ThreadPool pool(3);
+  std::atomic<int> jobs{0};
+  std::vector<std::atomic<int>> hits(2 * 64);
+  for (auto& h : hits) h = 0;
+  std::vector<std::thread> outside;
+  for (int t = 0; t < 4; ++t) {
+    outside.emplace_back([&] {
+      for (int i = 0; i < 256; ++i) {
+        pool.submit([&jobs] { jobs.fetch_add(1, std::memory_order_relaxed); });
+      }
+    });
+  }
+  for (std::size_t t = 0; t < 2; ++t) {
+    outside.emplace_back([&, t] {
+      pool.parallel_for(64, [&, t](std::size_t i) { ++hits[t * 64 + i]; });
+    });
+  }
+  for (std::thread& t : outside) t.join();
+  pool.wait_idle();
+  EXPECT_EQ(jobs.load(), 4 * 256);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 

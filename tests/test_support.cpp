@@ -581,83 +581,6 @@ TEST(ThreadPool, ResolveThreadsDefaultsToHardware) {
   EXPECT_EQ(pool.thread_count(), 4u);
 }
 
-TEST(ThreadPool, TaskGroupWaitsForAllSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 32; ++i) {
-    group.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  group.wait();
-  EXPECT_EQ(ran.load(), 32);
-  // wait() is idempotent and the group is reusable afterwards.
-  group.wait();
-  group.submit([&] { ran.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(ran.load(), 33);
-}
-
-TEST(ThreadPool, TaskGroupErrorsMustBeObservedNotSilentlyDropped) {
-  // A task exception that nobody waits for is a lost failure; the group
-  // no longer swallows it silently. wait_dismissing_errors() is the
-  // explicit opt-out (used when the caller's own error takes precedence);
-  // it observes the error, so the dropped-error counter stays at zero.
-  ThreadPool pool(2);
-  const PoolStats before = pool.stats();
-  std::atomic<bool> ran{false};
-  {
-    TaskGroup group(pool);
-    group.submit([&] {
-      ran.store(true);
-      throw std::runtime_error("dismissed explicitly");
-    });
-    group.wait_dismissing_errors();
-    // The group is reusable after dismissal, and wait() no longer throws.
-    group.submit([] {});
-    group.wait();
-  }
-  EXPECT_TRUE(ran.load());
-  pool.wait_idle();
-  EXPECT_EQ(pool.stats().delta_since(before).dropped_errors, 0u);
-}
-
-TEST(ThreadPool, TaskGroupCancelSkipsQueuedTasks) {
-  // cancel() is cooperative: already-running bodies finish, queued ones
-  // are skipped by the wrapper (counted as cancelled_tasks) — so a
-  // cancelled group drains in O(queue length) pops, not task work.
-  ThreadPool pool(1);
-  const PoolStats before = pool.stats();
-  std::atomic<int> ran{0};
-  {
-    TaskGroup group(pool);
-    group.cancel();  // cancel before submitting: every task must be skipped
-    for (int i = 0; i < 64; ++i) {
-      group.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    group.wait();
-  }
-  EXPECT_EQ(ran.load(), 0);
-  pool.wait_idle();
-  const PoolStats delta = pool.stats().delta_since(before);
-  EXPECT_EQ(delta.cancelled_tasks, 64u);
-  EXPECT_EQ(delta.submitted, delta.executed);
-}
-
-TEST(ThreadPool, StatsDeltaSinceIsolatesACallWindow) {
-  ThreadPool pool(2);
-  pool.parallel_for(8, [](std::size_t) {});
-  pool.wait_idle();
-  const PoolStats before = pool.stats();
-  std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ++ran; });
-  pool.wait_idle();
-  const PoolStats delta = pool.stats().delta_since(before);
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_GT(delta.submitted, 0u);
-  EXPECT_EQ(delta.submitted, delta.executed);
-  EXPECT_LT(delta.submitted, pool.stats().submitted);
-}
-
 // ---------------------------------------------------------- error -----
 
 TEST(Frame, RoundTripsThroughArbitrarySplitPoints) {
