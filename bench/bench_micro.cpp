@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: cube algebra,
 // DNF cover checks, guard evaluation, per-path list scheduling and the
-// full merge on the Fig. 1 model and generated graphs.
+// full merge on the Fig. 1 model and generated graphs, and random-graph
+// construction.
 #include <benchmark/benchmark.h>
 
 #include "gen/arch_gen.hpp"
@@ -158,6 +159,25 @@ void BM_FullFlowRandom(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(nodes));
 }
 BENCHMARK(BM_FullFlowRandom)->Arg(30)->Arg(60)->Arg(120)->Complexity();
+
+// Architecture plus generate_random_cpg (which ends in CpgBuilder::build)
+// at 4 paths; a flat processes_per_s across the sizes shows construction
+// staying linear.
+void BM_BuildRandomCpg(benchmark::State& state) {
+  RandomCpgParams params;
+  params.process_count = static_cast<std::size_t>(state.range(0));
+  params.path_count = 4;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    Rng rng(++seed);
+    const Architecture arch = generate_random_architecture(rng);
+    benchmark::DoNotOptimize(generate_random_cpg(arch, params, rng));
+  }
+  state.counters["processes_per_s"] = benchmark::Counter(
+      static_cast<double>(params.process_count),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BuildRandomCpg)->Arg(600)->Arg(4800);
 
 }  // namespace
 

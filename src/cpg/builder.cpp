@@ -28,9 +28,7 @@ ProcessId CpgBuilder::add_process(const std::string& name, PeId mapping,
   // memory-access processes, ATM experiment) memory modules — not buses.
   CPS_REQUIRE(!pe.is_bus(),
               "process " + name + " mapped to bus " + pe.name);
-  for (const auto& p : g_.processes_) {
-    CPS_REQUIRE(p.name != name, "duplicate process name: " + name);
-  }
+  CPS_REQUIRE(names_.insert(name).second, "duplicate process name: " + name);
   Process proc;
   proc.id = static_cast<ProcessId>(g_.processes_.size());
   proc.name = name;
@@ -145,7 +143,9 @@ void CpgBuilder::validate_and_finalize(Cpg& g) {
   }
 
   // --- Structural checks. ---
-  if (!is_acyclic(g.graph_)) {
+  // One topological order serves the cycle check and guard propagation.
+  const auto order = topological_order(g.graph_);
+  if (!order) {
     throw ValidationError("conditional process graph contains a cycle");
   }
   CPS_ASSERT(is_polar(g.graph_, g.source_, g.sink_),
@@ -203,7 +203,8 @@ void CpgBuilder::validate_and_finalize(Cpg& g) {
   }
 
   // --- Guards. ---
-  detail::compute_guards(g.graph_, g.edges_, g.processes_, g.source_);
+  detail::compute_guards(g.graph_, g.edges_, *order, g.processes_,
+                         g.source_);
   // The sink marks system completion and fires on every path, even when a
   // path "dies" at a disjunction branch with no successors (its execution
   // semantics — wait for every active task — are added by
@@ -233,15 +234,20 @@ void CpgBuilder::validate_and_finalize(Cpg& g) {
     }
   }
 
-  // A disjunction process must precede every consumer of its condition;
-  // acyclicity plus the edge-literal construction guarantees it for edges,
-  // but a hand-written guard dependency could still order them badly, so
-  // verify: the disjunction of every condition mentioned in a guard must
-  // reach the guarded process.
+  // A disjunction process must precede every consumer of its condition:
+  // the disjunction of every condition mentioned in a guard must reach the
+  // guarded process. Guards come only from compute_guards, which takes
+  // each condition from a conditional edge out of its disjunction process,
+  // so this cannot fail through the builder's API; it stays as a cheap
+  // backstop. Each condition's flood is computed on first use and serves
+  // every process.
+  std::vector<std::vector<bool>> reach(g.conds_.size());
   for (const Process& proc : g.processes_) {
     for (CondId c : proc.guard.mentioned_conditions()) {
-      const auto reach = reachable_from(g.graph_, g.disjunction_of_[c]);
-      if (!reach[proc.id]) {
+      if (reach[c].empty()) {
+        reach[c] = reachable_from(g.graph_, g.disjunction_of_[c]);
+      }
+      if (!reach[c][proc.id]) {
         throw ValidationError("process " + proc.name +
                               " is guarded by condition " + g.conds_.name(c) +
                               " but does not follow its disjunction process");

@@ -21,10 +21,17 @@
 //    edge rule);
 //  * a condition is only used by processes that run strictly after the
 //    disjunction process computing it.
+//
+// Building is linear in processes plus edges, apart from one reachability
+// flood per condition that some guard mentions, and the guard algebra,
+// which grows with the guards' cube counts: duplicate names are caught
+// through a hashed index, and one topological order serves the cycle
+// check and guard propagation.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cpg/cpg.hpp"
@@ -69,6 +76,7 @@ class CpgBuilder {
   void validate_and_finalize(Cpg& g);
 
   Cpg g_;
+  std::unordered_set<std::string> names_;  // of the processes added so far
   bool built_ = false;
 };
 

@@ -120,8 +120,10 @@ struct TaskRange {
 
 class FlatGraph {
  public:
-  /// Expand a CPG. The Cpg must outlive the FlatGraph.
+  /// Expand a CPG. The Cpg must outlive the FlatGraph, so a temporary is
+  /// rejected at compile time.
   static FlatGraph expand(const Cpg& g);
+  static FlatGraph expand(const Cpg&&) = delete;
 
   const Cpg& cpg() const { return *cpg_; }
   const Architecture& arch() const { return cpg_->arch(); }

@@ -1,15 +1,15 @@
 #include "cpg/guards.hpp"
 
-#include "graph/dag_algo.hpp"
 #include "support/error.hpp"
 
 namespace cps::detail {
 
 void compute_guards(const Digraph& graph, const std::vector<CpgEdge>& edges,
+                    const std::vector<NodeId>& order,
                     std::vector<Process>& processes, ProcessId source) {
-  auto order = topological_order(graph);
-  CPS_ASSERT(order.has_value(), "guard computation requires a DAG");
-  for (NodeId v : *order) {
+  CPS_ASSERT(order.size() == graph.node_count(),
+             "guard computation requires a topological order of every node");
+  for (NodeId v : order) {
     Process& proc = processes[v];
     if (v == source) {
       proc.guard = Dnf::true_();

@@ -1,7 +1,9 @@
 #include "gen/random_cpg.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <unordered_set>
 
 #include "support/error.hpp"
 
@@ -212,18 +214,16 @@ Cpg Generator::generate() {
       static_cast<double>(params_.process_count));
   std::size_t attempts = extra_edges * 8;
   std::size_t added = 0;
-  std::vector<std::pair<ProcessId, ProcessId>> seen;
+  std::unordered_set<std::uint64_t> seen;  // (src << 32) | dst
   while (added < extra_edges && attempts-- > 0) {
     const ProcessId a = static_cast<ProcessId>(rng_.index(guard_of_.size()));
     const ProcessId b = static_cast<ProcessId>(rng_.index(guard_of_.size()));
     if (a >= b) continue;
     if (is_conjunction_[b]) continue;
     if (!guard_of_[b].implies(guard_of_[a])) continue;
-    if (std::find(seen.begin(), seen.end(), std::make_pair(a, b)) !=
-        seen.end()) {
+    if (!seen.insert((static_cast<std::uint64_t>(a) << 32) | b).second) {
       continue;
     }
-    seen.emplace_back(a, b);
     connect(a, b);
     ++added;
   }

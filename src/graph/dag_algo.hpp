@@ -14,10 +14,6 @@ namespace cps {
 /// Topological order of all nodes, or nullopt if the graph has a cycle.
 std::optional<std::vector<NodeId>> topological_order(const Digraph& g);
 
-inline bool is_acyclic(const Digraph& g) {
-  return topological_order(g).has_value();
-}
-
 /// Longest path *to* each node from any source node, where a node
 /// contributes `node_weight[n]` and edges contribute `edge_weight[e]`
 /// (pass empty vector for zero edge weights). Entry-level nodes start at

@@ -126,9 +126,11 @@ struct CoSynthesisResult {
 /// Run the full flow of the paper: expand, enumerate alternative paths,
 /// schedule each path, merge into a schedule table, validate, and measure
 /// δ_M / δ_max. The Cpg must outlive the result (the FlatGraph holds a
-/// reference to it).
+/// reference to it), so a temporary is rejected at compile time.
 CoSynthesisResult schedule_cpg(const Cpg& g,
                                const CoSynthesisOptions& options = {});
+CoSynthesisResult schedule_cpg(const Cpg&&,
+                               const CoSynthesisOptions& = {}) = delete;
 
 /// Effective alternative-path budget: options.max_paths folded with
 /// RunBudget::max_paths (smaller nonzero value wins; 0 = unlimited).

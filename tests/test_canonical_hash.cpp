@@ -20,12 +20,14 @@ using namespace cps;
 
 // A Cpg owns its Architecture, so returning it by value is safe.
 Cpg make(std::uint64_t seed, std::size_t processes = 20,
-         std::size_t paths = 4) {
+         std::size_t paths = 4,
+         TimeDistribution distribution = TimeDistribution::kUniform) {
   Rng rng(seed);
   RandomArchParams arch_params;
   RandomCpgParams cpg_params;
   cpg_params.process_count = processes;
   cpg_params.path_count = paths;
+  cpg_params.distribution = distribution;
   const Architecture arch = generate_random_architecture(rng, arch_params);
   return generate_random_cpg(arch, cpg_params, rng);
 }
@@ -41,6 +43,27 @@ TEST(CanonicalHash, GoldenDigestsForFixedSeeds) {
   const Cpg b = make(7, 30, 6);
   EXPECT_EQ(digest_of(canonical_encoding(b)).hex(),
             "88131e68b6a5f94741a31a7374bf2e17");
+}
+
+TEST(CanonicalHash, GoldenDigestsAtBenchmarkShapes) {
+  // The graph shapes the benchmark workloads and the section 6 grid draw
+  // (600 processes x 2/3/4 paths, 80 x 18, 120 x 32 exponential) and one
+  // 2,400-process graph: these pin the bytes of what the generator and
+  // CpgBuilder produce at scale, not only the encoding format.
+  EXPECT_EQ(digest_of(canonical_encoding(make(1, 600, 2))).hex(),
+            "24cafea74670265d9d44b43cb8bfc46d");
+  EXPECT_EQ(digest_of(canonical_encoding(make(2, 600, 3))).hex(),
+            "7ae474aebe8dd13f550cfe5f317b92af");
+  EXPECT_EQ(digest_of(canonical_encoding(make(3, 600, 4))).hex(),
+            "7cb3a766288be67151a902383008fda1");
+  EXPECT_EQ(digest_of(canonical_encoding(make(18, 80, 18))).hex(),
+            "79eeea1b0613128f3cf0e6d47f305f9f");
+  EXPECT_EQ(digest_of(canonical_encoding(
+                          make(32, 120, 32, TimeDistribution::kExponential)))
+                .hex(),
+            "40321efa6215118e92aa26d5dcc7c01e");
+  EXPECT_EQ(digest_of(canonical_encoding(make(24, 2400, 4))).hex(),
+            "7523330a368f7af08551fe900d67a360");
 }
 
 TEST(CanonicalHash, DigestIsAPureFunctionOfContent) {

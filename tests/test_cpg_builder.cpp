@@ -216,7 +216,18 @@ TEST(CpgBuilder, BuilderSingleUse) {
 TEST(CpgBuilder, RejectsDuplicateProcessName) {
   CpgBuilder b(small_arch());
   b.add_process("P1", 0, 1);
-  EXPECT_THROW(b.add_process("P1", 0, 2), InvalidArgument);
+  b.add_process("P2", 0, 1);
+  EXPECT_THROW(b.add_process("P2", 0, 2), InvalidArgument);
+  // A duplicate of the first process added, with the message naming it.
+  try {
+    b.add_process("P1", 1, 2);
+    ADD_FAILURE() << "duplicate of the first process accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), "duplicate process name: P1");
+  }
+  // A rejected name does not count as added.
+  b.add_process("P3", 0, 1);
+  EXPECT_EQ(b.build().ordinary_process_count(), 3u);
 }
 
 TEST(Cpg, ActiveUnderAssignment) {

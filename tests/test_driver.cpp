@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sched/driver.hpp"
@@ -22,6 +24,23 @@ using cps::testing::golden_of;
 using cps::testing::MergeGolden;
 using cps::testing::series_of_conditions;
 using cps::testing::small_arch;
+
+// CoSynthesisResult::flat points at the graph, so schedule_cpg must not
+// take a temporary: a call on an rvalue Cpg does not compile (C++17
+// detection idiom), a call on a named graph does.
+template <typename Arg, typename = void>
+struct SchedulesFrom : std::false_type {};
+template <typename Arg>
+struct SchedulesFrom<Arg,
+                     std::void_t<decltype(schedule_cpg(std::declval<Arg>()))>>
+    : std::true_type {};
+static_assert(SchedulesFrom<const Cpg&>::value,
+              "schedule_cpg takes a named graph");
+static_assert(SchedulesFrom<Cpg&>::value, "schedule_cpg takes a named graph");
+static_assert(!SchedulesFrom<Cpg>::value,
+              "schedule_cpg rejects a temporary graph");
+static_assert(!SchedulesFrom<const Cpg>::value,
+              "schedule_cpg rejects a const temporary graph");
 
 // Diamond reconvergence: C selects one of two arms that both feed the
 // conjunction J; on C, K splits again (nested diamond). Three leaves of

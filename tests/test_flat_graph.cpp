@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "models/fig1.hpp"
 #include "test_util.hpp"
 
@@ -7,6 +10,21 @@ namespace cps {
 namespace {
 
 using testing::small_arch;
+
+// A FlatGraph points at its graph, so expand must not take a temporary:
+// a call on an rvalue Cpg does not compile (C++17 detection idiom), a
+// call on a named graph does.
+template <typename Arg, typename = void>
+struct ExpandsFrom : std::false_type {};
+template <typename Arg>
+struct ExpandsFrom<
+    Arg, std::void_t<decltype(FlatGraph::expand(std::declval<Arg>()))>>
+    : std::true_type {};
+static_assert(ExpandsFrom<const Cpg&>::value, "expand takes a named graph");
+static_assert(ExpandsFrom<Cpg&>::value, "expand takes a named graph");
+static_assert(!ExpandsFrom<Cpg>::value, "expand rejects a temporary graph");
+static_assert(!ExpandsFrom<const Cpg>::value,
+              "expand rejects a const temporary graph");
 
 TEST(FlatGraph, InsertsCommTasksOnlyForInterPeEdges) {
   CpgBuilder b(small_arch());

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "cpg/canonical.hpp"
+#include "gen/arch_gen.hpp"
+#include "gen/random_cpg.hpp"
 #include "io/cpg_format.hpp"
 #include "io/gantt.hpp"
 #include "io/table_csv.hpp"
@@ -83,6 +86,21 @@ TEST(CpgFormat, RoundTripPreservesTheModel) {
   const CoSynthesisResult b = schedule_cpg(parsed);
   EXPECT_EQ(a.delays.delta_max, b.delays.delta_max);
   EXPECT_EQ(a.delays.delta_m, b.delays.delta_m);
+}
+
+TEST(CpgFormat, RoundTripsABenchmarkSizedGraph) {
+  // A generated 2,400-process graph survives write + parse: the canonical
+  // encoding covers everything that determines a schedule (architecture,
+  // processes, edges, buses, guards; not names).
+  Rng rng(5);
+  const Architecture arch = generate_random_architecture(rng);
+  RandomCpgParams params;
+  params.process_count = 2400;
+  params.path_count = 4;
+  const Cpg original = generate_random_cpg(arch, params, rng);
+  const Cpg parsed = parse_cpg_string(write_cpg_string(original));
+  EXPECT_EQ(parsed.ordinary_process_count(), 2400u);
+  EXPECT_EQ(canonical_encoding(parsed), canonical_encoding(original));
 }
 
 TEST(CpgFormat, ErrorsAreReportedWithLineNumbers) {
