@@ -1,8 +1,12 @@
 // Microbenchmarks (google-benchmark) of the hot primitives: cube algebra,
 // DNF cover checks, guard evaluation, per-path list scheduling and the
-// full merge on the Fig. 1 model and generated graphs, and random-graph
+// full merge on the Fig. 1 model and generated graphs, the merge walk and
+// table validation alone on benchmark-shaped graphs, and random-graph
 // construction.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "gen/arch_gen.hpp"
 #include "gen/random_cpg.hpp"
@@ -159,6 +163,50 @@ void BM_FullFlowRandom(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(nodes));
 }
 BENCHMARK(BM_FullFlowRandom)->Arg(30)->Arg(60)->Arg(120)->Complexity();
+
+/// A generated graph with its paths and per-path schedules: the merge's
+/// input, built outside the timed loops.
+struct MergeInput {
+  std::unique_ptr<Cpg> g;
+  FlatGraph fg;
+  std::vector<AltPath> paths;
+  std::vector<PathSchedule> schedules;
+
+  MergeInput(std::size_t processes, std::size_t path_count) {
+    Rng rng(23);
+    const Architecture arch = generate_random_architecture(rng);
+    RandomCpgParams params;
+    params.process_count = processes;
+    params.path_count = path_count;
+    g = std::make_unique<Cpg>(generate_random_cpg(arch, params, rng));
+    fg = FlatGraph::expand(*g);
+    paths = enumerate_paths(*g);
+    for (const AltPath& p : paths) schedules.push_back(schedule_path(fg, p));
+  }
+};
+
+// The merge walk alone (paper §5) at the wide-shallow benchmark's 600
+// processes x 3 paths and the serve benchmark's 80 x 18.
+void BM_MergeSchedules(benchmark::State& state) {
+  const MergeInput in(static_cast<std::size_t>(state.range(0)),
+                      static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(merge_schedules(in.fg, in.paths, in.schedules));
+  }
+}
+BENCHMARK(BM_MergeSchedules)->Args({600, 3})->Args({80, 18});
+
+// validate_table alone on the merged table of the same graphs:
+// requirements 1-3 per row, then one simulated execution per path.
+void BM_ValidateTable(benchmark::State& state) {
+  const MergeInput in(static_cast<std::size_t>(state.range(0)),
+                      static_cast<std::size_t>(state.range(1)));
+  const MergeResult merged = merge_schedules(in.fg, in.paths, in.schedules);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(validate_table(in.fg, merged.table, in.paths));
+  }
+}
+BENCHMARK(BM_ValidateTable)->Args({600, 3})->Args({80, 18});
 
 // Architecture plus generate_random_cpg (which ends in CpgBuilder::build)
 // at 4 paths; a flat processes_per_s across the sizes shows construction

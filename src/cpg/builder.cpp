@@ -8,6 +8,14 @@
 
 namespace cps {
 
+namespace {
+
+/// Names of the dummy poles validate_and_finalize adds (paper §2).
+constexpr const char* kSourceName = "_source";
+constexpr const char* kSinkName = "_sink";
+
+}  // namespace
+
 CpgBuilder::CpgBuilder(Architecture arch) {
   g_.arch_ = std::move(arch);
   g_.arch_.validate(/*require_broadcast_bus=*/false);
@@ -22,6 +30,10 @@ ProcessId CpgBuilder::add_process(const std::string& name, PeId mapping,
                                   Time exec_time) {
   CPS_REQUIRE(!built_, "builder already consumed");
   CPS_REQUIRE(!name.empty(), "process name must not be empty");
+  CPS_REQUIRE(name != kSourceName,
+              "process name " + name + " is reserved for the source pole");
+  CPS_REQUIRE(name != kSinkName,
+              "process name " + name + " is reserved for the sink pole");
   CPS_REQUIRE(exec_time >= 0, "execution time must be non-negative");
   const ProcessingElement& pe = g_.arch_.pe(mapping);
   // Processes execute on processors, hardware or (for explicit
@@ -123,8 +135,8 @@ void CpgBuilder::validate_and_finalize(Cpg& g) {
     CPS_ASSERT(node == g.processes_.back().id, "graph/process id drift");
     return g.processes_.back().id;
   };
-  g.source_ = add_dummy("_source", ProcessKind::kSource);
-  g.sink_ = add_dummy("_sink", ProcessKind::kSink);
+  g.source_ = add_dummy(kSourceName, ProcessKind::kSource);
+  g.sink_ = add_dummy(kSinkName, ProcessKind::kSink);
   g.processes_[g.sink_].conjunction = true;  // activated by any alternative
 
   auto attach = [&g](ProcessId src, ProcessId dst) {

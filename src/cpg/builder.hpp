@@ -45,6 +45,9 @@ class CpgBuilder {
 
   CondId add_condition(const std::string& name);
 
+  /// Add an ordinary process. Names are unique, and `_source` and
+  /// `_sink` are reserved for the dummy poles build() adds; any of these
+  /// throws InvalidArgument.
   ProcessId add_process(const std::string& name, PeId mapping,
                         Time exec_time);
 

@@ -14,6 +14,14 @@ FlatGraph FlatGraph::expand(const Cpg& g) {
   fg.cpg_ = &g;
   fg.uid_ = next_uid.fetch_add(1);
 
+  // At most one task per process, edge and condition. Dependencies: at
+  // most two per edge, one per task into the sink and one per broadcast.
+  const std::size_t max_tasks =
+      g.process_count() + g.edges().size() + g.conditions().size();
+  fg.tasks_.reserve(max_tasks);
+  fg.deps_.reserve(max_tasks, 2 * g.edges().size() + max_tasks +
+                                  g.conditions().size());
+
   // One task per process, same id order.
   fg.task_of_process_.resize(g.process_count());
   for (ProcessId p = 0; p < g.process_count(); ++p) {
@@ -207,6 +215,20 @@ TaskId FlatGraph::disjunction_task(CondId c) const {
 const TaskGuardInfo& FlatGraph::guard_info(TaskId t) const {
   CPS_REQUIRE(t < guard_info_.size(), "task id out of range");
   return guard_info_[t];
+}
+
+bool FlatGraph::guard_implied_by(TaskId t, const Cube& context) const {
+  const TaskGuardInfo& info = guard_info(t);
+  if (info.trivially_true) return true;
+  if (masks_enabled_ && context.narrow()) {
+    // A cube whose literals all appear in the context is implied, and with
+    // it the guard; for a single-cube guard the test is exact.
+    for (const GuardCubeMask& cube : info.cubes) {
+      if (cube.covered_by(context.pos_bits(), context.neg_bits())) return true;
+    }
+    if (info.cubes.size() <= 1) return false;
+  }
+  return tasks_[t].guard.covered_by_context(context);
 }
 
 std::vector<bool> FlatGraph::active_tasks(const Cube& label,

@@ -186,6 +186,12 @@ class FlatGraph {
   /// Precomputed activation info for `t` (valid ids only).
   const TaskGuardInfo& guard_info(TaskId t) const;
 
+  /// Does `context` imply the guard of `t`? Exact. With guard masks the
+  /// cube masks decide it, except for a multi-cube guard no single cube
+  /// of which the context implies: that one, and every guard past the
+  /// masks, takes the Dnf's Shannon expansion.
+  bool guard_implied_by(TaskId t, const Cube& context) const;
+
   /// Resources that host at least one task (sorted).
   const std::vector<PeId>& used_resources() const { return used_resources_; }
 

@@ -8,6 +8,12 @@ void Digraph::resize(std::size_t node_count) {
   in_.resize(node_count);
 }
 
+void Digraph::reserve(std::size_t node_count, std::size_t edge_count) {
+  out_.reserve(node_count);
+  in_.reserve(node_count);
+  edges_.reserve(edge_count);
+}
+
 NodeId Digraph::add_node() {
   out_.emplace_back();
   in_.emplace_back();

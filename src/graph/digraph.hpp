@@ -26,6 +26,9 @@ class Digraph {
   explicit Digraph(std::size_t node_count) { resize(node_count); }
 
   void resize(std::size_t node_count);
+  /// Reserve storage for `node_count` nodes and `edge_count` edges in
+  /// total, so building up to that size does not regrow.
+  void reserve(std::size_t node_count, std::size_t edge_count);
   NodeId add_node();
   EdgeId add_edge(NodeId src, NodeId dst);
 

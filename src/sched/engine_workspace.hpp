@@ -55,8 +55,11 @@ struct ReadyCompare {
   }
 };
 
-using ReadyHeap =
-    std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyCompare>;
+struct ReadyHeap
+    : std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyCompare> {
+  /// Empty the heap, keeping its storage for the next run.
+  void clear() { c.clear(); }
+};
 
 /// Counters of one workspace (accumulated across the runs it served).
 struct WorkspaceStats {
@@ -114,6 +117,10 @@ struct EngineWorkspace {
 
   // Scheduling state.
   PathSchedule sched;
+  /// Tasks in the order they started (non-decreasing start), moved into
+  /// the returned schedule (PathSchedule::set_start_order); each run
+  /// reserves it for its active tasks.
+  std::vector<TaskId> start_order;
   std::vector<std::size_t> pending;
   std::vector<Time> dep_ready;
   std::vector<char> started;

@@ -31,6 +31,7 @@ class Engine {
         priority_(ws.priority),
         locks_(ws.locks),
         sched_(ws.sched),
+        start_order_(ws.start_order),
         pending_(ws.pending),
         dep_ready_(ws.dep_ready),
         started_(ws.started),
@@ -123,6 +124,8 @@ class Engine {
   std::vector<std::optional<TaskLock>>& locks_;
 
   PathSchedule& sched_;
+  // Tasks in start order: start_task runs at a non-decreasing `now`.
+  std::vector<TaskId>& start_order_;
   std::vector<std::size_t>& pending_;   // unfinished active preds
   std::vector<Time>& dep_ready_;        // max end over finished preds
   std::vector<char>& started_;
@@ -399,6 +402,7 @@ void Engine::start_task(TaskId t, Time now, PeId res) {
   const Time dur = fg_.duration(t);
   started_[t] = 1;
   sched_.place(t, now, now + dur, res);
+  start_order_.push_back(t);
   if (locked(t)) {
     // Keep the resource's cursor on its earliest unstarted lock.
     const std::vector<TaskId>& on_res = locks_on_res_[res];
@@ -531,6 +535,9 @@ EngineResult Engine::run() {
   cache_ = req_.cover_cache ? req_.cover_cache : &ws_.private_cache;
 
   sched_.reset(n);
+  // The previous run moved its order out (see the end of run()).
+  start_order_.clear();
+  start_order_.reserve(active_list_.size());
   pending_.assign(n, 0);
   dep_ready_.assign(n, 0);
   started_.assign(n, 0);
@@ -557,7 +564,8 @@ EngineResult Engine::run() {
 
   known_pos_.assign(fg_.arch().pe_count(), 0);
   known_neg_.assign(fg_.arch().pe_count(), 0);
-  ready_.assign(fg_.arch().pe_count(), ReadyHeap());
+  ready_.resize(fg_.arch().pe_count());
+  for (ReadyHeap& heap : ready_) heap.clear();
   init_lock_order();
   bcast_pending_.clear();
   hw_ready_.clear();
@@ -631,6 +639,7 @@ EngineResult Engine::run() {
   EngineResult out;
   out.feasible = true;
   out.schedule = sched_;  // copy: the workspace keeps its capacity warm
+  out.schedule.set_start_order(std::move(start_order_));
   return out;
 }
 

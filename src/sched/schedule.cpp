@@ -20,6 +20,22 @@ Time PathSchedule::delay(const FlatGraph& fg) const {
 }
 
 std::vector<TaskId> PathSchedule::tasks_by_start() const {
+  if (!start_order_.empty()) {
+    // Already ordered by start: order each run of equal starts by id (the
+    // engine starts a run in its own step order).
+    std::vector<TaskId> out = start_order_;
+    auto first = out.begin();
+    while (first != out.end()) {
+      const Time start = slots_[*first].start;
+      auto last = first + 1;
+      while (last != out.end() && slots_[*last].start == start) ++last;
+      CPS_ASSERT(last == out.end() || slots_[*last].start > start,
+                 "start order is not sorted by start");
+      if (last - first > 1) std::sort(first, last);
+      first = last;
+    }
+    return out;
+  }
   // Sorting the (start, id) keys by value keeps the comparisons off the
   // slot array.
   std::vector<std::pair<Time, TaskId>> keys;

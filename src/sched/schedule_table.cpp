@@ -8,6 +8,9 @@ namespace cps {
 
 namespace {
 
+/// Cells a row reserves on its first insertion.
+constexpr std::size_t kRowReserve = 4;
+
 /// Visit the cells of `row` that conflict with (column, start, resource),
 /// in insertion order, until `fn` returns true; returns whether it did.
 /// `narrow`: every column involved is packed, so the mask test is exact.
@@ -47,6 +50,9 @@ AddEntryResult ScheduleTable::add_entry(TaskId t, const Cube& column,
                ? AddEntryResult::kDuplicate
                : AddEntryResult::kClash;
   }
+  // Rows take one cell per merged schedule that places the task: size a
+  // row once for the common case instead of growing it cell by cell.
+  if (row.entries.empty()) row.entries.reserve(kRowReserve);
   row.entries.push_back(TableEntry{column, start, resource});
   row.all_narrow = row.all_narrow && column.narrow();
   return AddEntryResult::kAdded;

@@ -58,8 +58,7 @@ TableExecution execute_table(const FlatGraph& fg, const ScheduleTable& table,
   // 2. Dependencies.
   for (TaskId t = 0; t < n; ++t) {
     if (decision[t] == nullptr) continue;
-    for (EdgeId e : fg.deps().in_edges(t)) {
-      const TaskId pred = fg.deps().edge(e).src;
+    for (TaskId pred : fg.preds(t)) {
       if (decision[pred] == nullptr) continue;
       if (out.schedule.slot(pred).end > out.schedule.slot(t).start) {
         std::ostringstream os;
@@ -72,39 +71,52 @@ TableExecution execute_table(const FlatGraph& fg, const ScheduleTable& table,
     }
   }
 
-  // 3. Mutual exclusion on sequential resources. Each resource's slots are
-  //    sorted by start, and each slot is compared only with the later ones
-  //    that begin before it ends, so a clean table costs one sort. The
-  //    overlapping pairs are reported in (lower id, higher id) order.
+  // 3. Mutual exclusion on sequential resources. The slots are bucketed
+  //    by resource and each bucket is sorted by (start, id); each slot is
+  //    compared only with the later ones that begin before it ends, so a
+  //    clean table costs one sort per resource. The overlapping pairs are
+  //    reported in (lower id, higher id) order.
+  const std::size_t pes = fg.arch().pe_count();
+  std::vector<char> sequential(pes);
+  for (PeId r = 0; r < pes; ++r) sequential[r] = fg.arch().pe(r).sequential();
   struct Busy {
-    PeId resource;
     Time start;
     Time end;
     TaskId task;
   };
-  std::vector<Busy> busy;
+  // bucket_begin[r + 1] counts resource r's slots, then (prefix sums)
+  // bucket r is busy[bucket_begin[r], bucket_begin[r + 1]).
+  std::vector<std::size_t> bucket_begin(pes + 1, 0);
+  for (TaskId t = 0; t < n; ++t) {
+    if (decision[t] == nullptr) continue;
+    const PeId r = out.schedule.slot(t).resource;
+    CPS_REQUIRE(r < pes, "processing element id out of range");
+    if (sequential[r]) ++bucket_begin[r + 1];
+  }
+  for (PeId r = 0; r < pes; ++r) bucket_begin[r + 1] += bucket_begin[r];
+  std::vector<Busy> busy(bucket_begin[pes]);
+  std::vector<std::size_t> fill(bucket_begin.begin(), bucket_begin.end() - 1);
   for (TaskId t = 0; t < n; ++t) {
     if (decision[t] == nullptr) continue;
     const Slot& s = out.schedule.slot(t);
-    if (fg.arch().pe(s.resource).sequential()) {
-      busy.push_back(Busy{s.resource, s.start, s.end, t});
+    if (sequential[s.resource]) {
+      busy[fill[s.resource]++] = Busy{s.start, s.end, t};
     }
   }
-  std::sort(busy.begin(), busy.end(), [](const Busy& a, const Busy& b) {
-    if (a.resource != b.resource) return a.resource < b.resource;
-    if (a.start != b.start) return a.start < b.start;
-    return a.task < b.task;
-  });
   std::vector<std::pair<TaskId, TaskId>> overlaps;
-  for (std::size_t i = 0; i < busy.size(); ++i) {
-    const Busy& a = busy[i];
-    for (std::size_t j = i + 1; j < busy.size(); ++j) {
-      const Busy& b = busy[j];
-      if (b.resource != a.resource || b.start >= a.end) break;
-      // False only for an empty slot b starting where a starts.
-      if (a.start < b.end) {
-        overlaps.emplace_back(std::min(a.task, b.task),
-                              std::max(a.task, b.task));
+  for (PeId r = 0; r < pes; ++r) {
+    const auto first = busy.begin() + bucket_begin[r];
+    const auto last = busy.begin() + bucket_begin[r + 1];
+    std::sort(first, last, [](const Busy& a, const Busy& b) {
+      return a.start != b.start ? a.start < b.start : a.task < b.task;
+    });
+    for (auto a = first; a != last; ++a) {
+      for (auto b = a + 1; b != last && b->start < a->end; ++b) {
+        // False only for an empty slot b starting where a starts.
+        if (a->start < b->end) {
+          overlaps.emplace_back(std::min(a->task, b->task),
+                                std::max(a->task, b->task));
+        }
       }
     }
   }
@@ -156,7 +168,7 @@ TableExecution execute_table(const FlatGraph& fg, const ScheduleTable& table,
       }
     });
     // The decision must be sufficient: column must imply the guard.
-    if (!fg.task(t).guard.covered_by_context(entry->column)) {
+    if (!fg.guard_implied_by(t, entry->column)) {
       complain("column " + entry->column.to_string() +
                " does not imply the guard of " + fg.task(t).name +
                " (req. 1)");

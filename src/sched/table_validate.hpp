@@ -11,6 +11,18 @@
 //  4. activations depend only on condition values known, at that moment,
 //     on the processing element executing the process (checked per path
 //     by the run-time simulator, sched/table_sim.hpp).
+//
+// Up to 64 conditions, requirements 1 and 3 are decided on the guard's
+// cube masks (FlatGraph::guard_info) and the packed column masks. A column
+// implies the guard when it implies one of its cubes; only a multi-cube
+// guard none of whose cubes the column implies takes the Dnf's Shannon
+// expansion. When every cell of a row passes requirement 1, the columns'
+// disjunction implies the guard, so requirement 3 reduces to the guard
+// implying that disjunction, decided per guard cube by an
+// allocation-free Shannon expansion over the column masks. A row that
+// fails it, and every row past 64 conditions, is checked with the Dnf
+// cover as before, so each violation message comes from one code path.
+// tests/reference_table_validate.hpp is the Dnf-only oracle.
 #pragma once
 
 #include <string>

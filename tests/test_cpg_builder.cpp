@@ -230,6 +230,34 @@ TEST(CpgBuilder, RejectsDuplicateProcessName) {
   EXPECT_EQ(b.build().ordinary_process_count(), 3u);
 }
 
+TEST(CpgBuilder, RejectsReservedPoleNames) {
+  // build() adds the dummy poles as _source and _sink, so an ordinary
+  // process of either name would make two processes of one name.
+  const struct {
+    const char* name;
+    const char* message;
+  } poles[] = {
+      {"_source", "process name _source is reserved for the source pole"},
+      {"_sink", "process name _sink is reserved for the sink pole"},
+  };
+  for (const auto& pole : poles) {
+    SCOPED_TRACE(pole.name);
+    CpgBuilder b(small_arch());
+    b.add_process("P1", 0, 1);
+    try {
+      b.add_process(pole.name, 0, 5);
+      ADD_FAILURE() << "reserved name accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), pole.message);
+    }
+    // The rejected name was not added: the poles keep their names.
+    const Cpg g = b.build();
+    EXPECT_EQ(g.ordinary_process_count(), 1u);
+    EXPECT_EQ(g.process_by_name("_source"), g.source());
+    EXPECT_EQ(g.process_by_name("_sink"), g.sink());
+  }
+}
+
 TEST(Cpg, ActiveUnderAssignment) {
   CpgBuilder b(small_arch());
   const CondId c = b.add_condition("C");

@@ -2,17 +2,20 @@
 // engine run per alternative path, in enumeration order. Golden rows pin
 // the merged tables of trie shapes — a maximum-depth condition chain,
 // diamond reconvergence, sibling conditions on distinct PEs and balanced
-// deep condition nests — and the max_paths budget and keep_paths are
-// checked on the same shapes.
+// deep condition nests — and of the generated shapes the benchmarks run,
+// and the max_paths budget and keep_paths are checked on the trie shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sched/batch_driver.hpp"
 #include "sched/driver.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
@@ -199,6 +202,107 @@ TEST(Driver, TrieShapesMatchTheirGoldens) {
     EXPECT_EQ(golden_of(r.table, r.merge_stats), golden.merge);
     EXPECT_EQ(r.delays.delta_m, golden.delta_m);
     EXPECT_EQ(r.delays.delta_max, golden.delta_max);
+  }
+}
+
+/// FNV-1a 64, folded byte by byte.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+
+  void bytes(const std::string& s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+  void number(std::uint64_t v) { bytes(std::to_string(v) + ';'); }
+};
+
+// One digest per generated shape: for every graph of the shape, in index
+// order, its table CSV, the eight MergeStats counters the walk can move
+// and delta_M/delta_max — or its error, should one fail validation.
+// Graph i of shape k is run_batch_item's item i at base seed
+// 1000 * (k + 1), so no two shapes share a graph. The shapes are the 30
+// cells of the paper's §6 grid (4 graphs each), the wide-shallow
+// benchmark's 600 processes x 2/3/4 paths (8 each) and the serve
+// benchmark's 80 x 18 (16). Recorded before the merge walk read the
+// engine's start order and before validation decided requirements 1 and
+// 3 on guard masks.
+TEST(Driver, ShapeSweepMatchesItsGolden) {
+  struct Shape {
+    std::size_t processes;
+    std::size_t paths;
+    TimeDistribution distribution;
+    std::size_t graphs;
+    std::uint64_t digest;
+  };
+  constexpr auto kU = TimeDistribution::kUniform;
+  constexpr auto kE = TimeDistribution::kExponential;
+  const Shape shapes[] = {
+      {60, 10, kU, 4, 0xba874b2acf5259ffull},
+      {60, 12, kU, 4, 0x5156e791eb5e77a6ull},
+      {60, 18, kU, 4, 0xe10b3eb30751fbe3ull},
+      {60, 24, kU, 4, 0xab58adaf9e0c60e3ull},
+      {60, 32, kU, 4, 0xd7fa018d323802ebull},
+      {60, 10, kE, 4, 0xba71fb98a9027f76ull},
+      {60, 12, kE, 4, 0xeeab68017ab7a25aull},
+      {60, 18, kE, 4, 0x07612eca0d95bf5aull},
+      {60, 24, kE, 4, 0xdf47d48c09db3073ull},
+      {60, 32, kE, 4, 0x795484fbb3ec2acdull},
+      {80, 10, kU, 4, 0xea42791c2a31d965ull},
+      {80, 12, kU, 4, 0x45af341f3e2bc4a2ull},
+      {80, 18, kU, 4, 0x2a9916967ec8f4bcull},
+      {80, 24, kU, 4, 0x0c776a9a3f0600d8ull},
+      {80, 32, kU, 4, 0x853ace59953e0299ull},
+      {80, 10, kE, 4, 0x68e730f5842c8ccfull},
+      {80, 12, kE, 4, 0x484f994711b62f56ull},
+      {80, 18, kE, 4, 0x4dcebd7dc1b8fcb1ull},
+      {80, 24, kE, 4, 0x70911e435368dca3ull},
+      {80, 32, kE, 4, 0xcc82e2fb48c695adull},
+      {120, 10, kU, 4, 0x7f55f0ac7d33a855ull},
+      {120, 12, kU, 4, 0xe0659668f7c5ade8ull},
+      {120, 18, kU, 4, 0xfe4d706618438467ull},
+      {120, 24, kU, 4, 0x138ab9d29d6ac653ull},
+      {120, 32, kU, 4, 0x2097e66d1d7e5e6aull},
+      {120, 10, kE, 4, 0xae4a83d5df2190dfull},
+      {120, 12, kE, 4, 0xbb3c8184585d2f65ull},
+      {120, 18, kE, 4, 0x4ab515a112295ef6ull},
+      {120, 24, kE, 4, 0x06507c0d8d40c3c6ull},
+      {120, 32, kE, 4, 0xbc175f8684dffac0ull},
+      {600, 2, kU, 8, 0x8e2c0da4e446530bull},
+      {600, 3, kU, 8, 0x37ab971775783a30ull},
+      {600, 4, kU, 8, 0x162681b21d12c6beull},
+      {80, 18, kU, 16, 0x509262dc975107e5ull},
+  };
+  for (std::size_t k = 0; k < std::size(shapes); ++k) {
+    const Shape& shape = shapes[k];
+    BatchConfig config;
+    config.base_seed = 1000 * (k + 1);
+    config.cpg.process_count = shape.processes;
+    config.cpg.path_count = shape.paths;
+    config.cpg.distribution = shape.distribution;
+    Fnv1a digest;
+    for (std::size_t i = 0; i < shape.graphs; ++i) {
+      std::string csv;
+      const BatchItem item = run_batch_item(config, i, nullptr, {}, &csv);
+      if (!item.ok) {
+        digest.bytes(item.error);
+        continue;
+      }
+      const MergeStats& s = item.merge;
+      digest.bytes(csv);
+      for (const std::size_t v :
+           {s.backsteps, s.adjustments, s.locks, s.conflicts, s.conflict_moves,
+            s.unresolved_conflicts, s.relaxed_locks, s.column_clashes}) {
+        digest.number(v);
+      }
+      digest.number(static_cast<std::uint64_t>(item.delta_m));
+      digest.number(static_cast<std::uint64_t>(item.delta_max));
+    }
+    EXPECT_EQ(digest.h, shape.digest)
+        << std::hex << "0x" << digest.h << std::dec << " for "
+        << shape.processes << " x " << shape.paths << " "
+        << to_string(shape.distribution);
   }
 }
 

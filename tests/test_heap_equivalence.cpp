@@ -21,6 +21,7 @@ namespace {
 
 using namespace cps;
 using cps::testing::golden_of;
+using cps::testing::ladder_cpg;
 using cps::testing::MergeGolden;
 using cps::testing::reference_run;
 
@@ -196,33 +197,8 @@ TEST(HeapEquivalence, LockedRequestsMatchLinearScan) {
 
 // The packed-mask boundary. Guard masks cover condition ids below 64
 // (Cube::kPackedBits); a model with more conditions takes the engine's
-// known-cube knowledge and cover-cache fallbacks instead. A ladder CPG —
-// the false arm of condition i leads to the disjunction of condition i+1,
-// processes alternate processors, the true arms run on hardware — has n
-// conditions and n + 1 paths; it is built just below, at and just above
-// the bound.
-Cpg ladder_cpg(std::size_t conditions) {
-  Architecture arch;
-  const PeId cpu[] = {arch.add_processor("cpu0"), arch.add_processor("cpu1")};
-  const PeId hw = arch.add_hardware("hw");
-  arch.add_bus("bus");
-  arch.set_cond_broadcast_time(1);
-  CpgBuilder b(arch);
-  ProcessId d = b.add_process("D0", cpu[0], 2);
-  for (std::size_t i = 0; i < conditions; ++i) {
-    const CondId c = b.add_condition("C" + std::to_string(i));
-    const ProcessId t = b.add_process("T" + std::to_string(i), hw,
-                                      static_cast<Time>(1 + i % 3));
-    const ProcessId next = b.add_process("D" + std::to_string(i + 1),
-                                         cpu[(i + 1) % 2],
-                                         static_cast<Time>(1 + i % 2));
-    b.add_cond_edge(d, t, Literal{c, true}, 2);
-    b.add_cond_edge(d, next, Literal{c, false}, 2);
-    d = next;
-  }
-  return b.build();
-}
-
+// known-cube knowledge and cover-cache fallbacks instead. The ladder CPG
+// (test_util.hpp) is built just below, at and just above the bound.
 TEST(HeapEquivalence, PackedMaskBoundaryLadder) {
   for (const std::size_t conditions : {63u, 64u, 65u}) {
     SCOPED_TRACE(std::to_string(conditions) + " conditions");

@@ -118,6 +118,28 @@ TEST(CpgFormat, ErrorsAreReportedWithLineNumbers) {
   EXPECT_THROW(parse_cpg_file("/nonexistent/file.cpg"), ParseError);
 }
 
+TEST(CpgFormat, ReservedPoleNamesAreRejected) {
+  for (const std::string pole : {"_source", "_sink"}) {
+    SCOPED_TRACE(pole);
+    try {
+      parse_cpg_string("@arch\nprocessor p\n@processes\nA p 1\n" + pole +
+                       " p 5\n@edges\nA " + pole + "\n");
+      ADD_FAILURE() << "reserved name accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(pole + " is reserved"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The writer leaves the poles out, so a written graph parses back with
+  // them in place.
+  const Cpg g = build_fig1_cpg();
+  const Cpg parsed = parse_cpg_string(write_cpg_string(g));
+  EXPECT_EQ(parsed.process_by_name("_source"), parsed.source());
+  EXPECT_EQ(parsed.process_by_name("_sink"), parsed.sink());
+  EXPECT_EQ(parsed.ordinary_process_count(), g.ordinary_process_count());
+}
+
 TEST(CpgFormat, UnknownConditionInEdge) {
   EXPECT_THROW(
       parse_cpg_string("@arch\nprocessor p\n@processes\nA p 1\nB p 1\n"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "gen/random_cpg.hpp"
 #include "models/fig1.hpp"
 #include "reference_table_sim.hpp"
+#include "reference_table_validate.hpp"
 #include "sched/delay.hpp"
 #include "sched/driver.hpp"
 #include "sched/table_sim.hpp"
@@ -22,6 +24,7 @@ namespace cps {
 namespace {
 
 using testing::reference_execute_table;
+using testing::reference_validate_table;
 using testing::small_arch;
 
 class TableSimTest : public ::testing::Test {
@@ -327,13 +330,30 @@ TEST(TableSimModels, DelayMatchesDelayReport) {
   });
 }
 
+/// A structural edit of one seeded cell (see perturb).
+enum class ColumnEdit {
+  kNone,
+  /// Drop one literal of the cell's column: the column may stop implying
+  /// the guard (req. 1).
+  kDropLiteral,
+  /// Leave the cell out: the row may stop covering the guard (req. 3).
+  kDropCell,
+  /// Put a copy of the cell, its column strengthened by a literal the
+  /// column lacks, ahead of the row: the cover is unchanged, but the copy
+  /// decides the paths it matches, so its extra condition must be known
+  /// by then (req. 4).
+  kRedundantCell,
+};
+
 /// Copy of `table` with `count` distinct cells' start times shifted by a
 /// seeded non-zero offset (clamped at 0). With `clash` set, one seeded row
 /// also gains a cell at another time under `true`, `c0` or `!c0`,
 /// whichever the row lacks: an ambiguous activation (req. 2) on the paths
-/// both cells apply to.
+/// both cells apply to. `edit` applies to one more seeded cell that it
+/// can change; kNone draws nothing for it.
 ScheduleTable perturb(const ScheduleTable& table, Rng& rng,
-                      std::size_t count, bool clash) {
+                      std::size_t count, bool clash,
+                      ColumnEdit edit = ColumnEdit::kNone) {
   const FlatGraph& fg = table.flat_graph();
   std::vector<std::pair<TaskId, std::size_t>> cells;
   for (TaskId t = 0; t < fg.task_count(); ++t) {
@@ -341,12 +361,46 @@ ScheduleTable perturb(const ScheduleTable& table, Rng& rng,
       cells.emplace_back(t, i);
     }
   }
+  std::vector<std::pair<TaskId, std::size_t>> editable;
+  const std::size_t conditions = fg.cpg().conditions().size();
+  for (const auto& [t, i] : cells) {
+    const Cube& column = table.row(t)[i].column;
+    if (edit == ColumnEdit::kDropCell ||
+        (edit == ColumnEdit::kDropLiteral && !column.is_true()) ||
+        (edit == ColumnEdit::kRedundantCell && column.size() < conditions)) {
+      editable.emplace_back(t, i);
+    }
+  }
   rng.shuffle(cells);
   cells.resize(std::min(count, cells.size()));
+  // The edited cell, and the literal the edit drops or adds.
+  std::optional<std::pair<TaskId, std::size_t>> target;
+  Literal lit{0, true};
+  if (!editable.empty()) {
+    target = editable[rng.index(editable.size())];
+    const Cube& column = table.row(target->first)[target->second].column;
+    if (edit == ColumnEdit::kDropLiteral) {
+      const std::vector<Literal> lits = column.literals();
+      lit = lits[rng.index(lits.size())];
+    } else if (edit == ColumnEdit::kRedundantCell) {
+      std::vector<CondId> unmentioned;
+      for (CondId c = 0; c < conditions; ++c) {
+        if (!column.mentions(c)) unmentioned.push_back(c);
+      }
+      lit = Literal{unmentioned[rng.index(unmentioned.size())],
+                    rng.index(2) == 0};
+    }
+  }
   ScheduleTable out(fg);
   for (TaskId t = 0; t < fg.task_count(); ++t) {
     const auto& row = table.row(t);
+    if (edit == ColumnEdit::kRedundantCell && target && target->first == t) {
+      const TableEntry& e = row[target->second];
+      out.add_entry(t, *e.column.conjoin(lit), e.start, e.resource);
+    }
     for (std::size_t i = 0; i < row.size(); ++i) {
+      const bool edited = target == std::make_pair(t, i);
+      if (edited && edit == ColumnEdit::kDropCell) continue;
       Time start = row[i].start;
       if (std::find(cells.begin(), cells.end(), std::make_pair(t, i)) !=
           cells.end()) {
@@ -354,7 +408,10 @@ ScheduleTable perturb(const ScheduleTable& table, Rng& rng,
         if (shift >= 0) ++shift;
         start = std::max<Time>(0, start + shift);
       }
-      out.add_entry(t, row[i].column, start, row[i].resource);
+      const Cube column = edited && edit == ColumnEdit::kDropLiteral
+                              ? row[i].column.without(lit.cond)
+                              : row[i].column;
+      out.add_entry(t, column, start, row[i].resource);
     }
   }
   if (clash) {
@@ -411,6 +468,87 @@ TEST(TableSimModels, PerturbedTablesMatchReference) {
   EXPECT_LT(invalid, executions);
   EXPECT_GT(overlaps, 0u);
   EXPECT_GT(ambiguous, 0u);
+}
+
+/// Guards of several cubes: J joins the C & K arm of a nested condition
+/// with the !C arm, so J and its successor A are guarded by C & K | !C.
+Cpg multi_cube_guards() {
+  CpgBuilder b(small_arch());
+  const CondId c = b.add_condition("C");
+  const CondId k = b.add_condition("K");
+  const ProcessId d = b.add_process("D", 0, 2);
+  const ProcessId t = b.add_process("T", 1, 3);
+  const ProcessId f = b.add_process("F", 0, 4);
+  const ProcessId tk = b.add_process("TK", 1, 2);
+  const ProcessId tf = b.add_process("TF", kHw, 1);
+  const ProcessId j = b.add_process("J", 0, 2);
+  const ProcessId a = b.add_process("A", 1, 1);
+  b.add_cond_edge(d, t, Literal{c, true}, 2);
+  b.add_cond_edge(d, f, Literal{c, false});
+  b.add_cond_edge(t, tk, Literal{k, true});
+  b.add_cond_edge(t, tf, Literal{k, false}, 2);
+  b.add_edge(tk, j, 2);
+  b.add_edge(f, j);
+  b.mark_conjunction(j);
+  b.add_edge(j, a, 2);
+  return b.build();
+}
+
+// validate_table decides requirements 1 and 3 on guard masks; the
+// reference decides them on the Dnf alone. Their violation lists must be
+// identical on tables with one column edit each, over the seeded models,
+// a model with multi-cube guards and the 65-condition ladder (past the
+// masks).
+TEST(TableSimModels, ColumnEditsMatchReferenceValidation) {
+  const ColumnEdit edits[] = {ColumnEdit::kDropLiteral, ColumnEdit::kDropCell,
+                              ColumnEdit::kRedundantCell};
+  std::size_t invalid[3] = {0, 0, 0};
+  std::size_t req1 = 0;
+  std::size_t req3 = 0;
+  std::size_t multi_cube_tasks = 0;
+  Rng rng(20261019);
+  const auto check = [&](const CoSynthesisResult& r) {
+    const FlatGraph& fg = r.flat_graph();
+    for (TaskId t = 0; t < fg.task_count(); ++t) {
+      if (fg.task(t).guard.cubes().size() > 1) ++multi_cube_tasks;
+    }
+    for (int trial = 0; trial < 24; ++trial) {
+      const ColumnEdit edit = edits[trial % 3];
+      const ScheduleTable table =
+          perturb(r.table, rng, trial % 4 == 0 ? 1 : 0, false, edit);
+      const TableValidation got = validate_table(fg, table, r.paths);
+      const TableValidation want =
+          reference_validate_table(fg, table, r.paths);
+      ASSERT_EQ(got.ok, want.ok);
+      ASSERT_EQ(got.violations, want.violations);
+      if (!got.ok) ++invalid[trial % 3];
+      for (const std::string& v : got.violations) {
+        if (edit == ColumnEdit::kDropLiteral && v.rfind("req1:", 0) == 0) {
+          ++req1;
+        }
+        if (edit == ColumnEdit::kDropCell && v.rfind("req3:", 0) == 0) {
+          ++req3;
+        }
+      }
+    }
+  };
+  for_each_model(check);
+  const Cpg multi = multi_cube_guards();
+  {
+    SCOPED_TRACE("multi-cube guards");
+    check(schedule_cpg(multi));
+  }
+  const Cpg ladder = testing::ladder_cpg(65);
+  {
+    SCOPED_TRACE("65-condition ladder");
+    const CoSynthesisResult r = schedule_cpg(ladder);
+    EXPECT_FALSE(r.flat_graph().masks_enabled());
+    check(r);
+  }
+  EXPECT_GT(multi_cube_tasks, 0u);
+  for (const std::size_t n : invalid) EXPECT_GT(n, 0u);
+  EXPECT_GT(req1, 0u);
+  EXPECT_GT(req3, 0u);
 }
 
 }  // namespace

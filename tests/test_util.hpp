@@ -67,6 +67,33 @@ inline Cpg series_of_conditions(std::size_t regions) {
   return b.build();
 }
 
+/// A ladder CPG: the false arm of condition i leads to the disjunction of
+/// condition i + 1, processes alternate between two processors, and the
+/// true arms run on hardware. It has `conditions` conditions and
+/// `conditions` + 1 paths, so it reaches past the 64-condition packed
+/// masks (Cube::kPackedBits) with few processes.
+inline Cpg ladder_cpg(std::size_t conditions) {
+  Architecture arch;
+  const PeId cpu[] = {arch.add_processor("cpu0"), arch.add_processor("cpu1")};
+  const PeId hw = arch.add_hardware("hw");
+  arch.add_bus("bus");
+  arch.set_cond_broadcast_time(1);
+  CpgBuilder b(arch);
+  ProcessId d = b.add_process("D0", cpu[0], 2);
+  for (std::size_t i = 0; i < conditions; ++i) {
+    const CondId c = b.add_condition("C" + std::to_string(i));
+    const ProcessId t = b.add_process("T" + std::to_string(i), hw,
+                                      static_cast<Time>(1 + i % 3));
+    const ProcessId next = b.add_process("D" + std::to_string(i + 1),
+                                         cpu[(i + 1) % 2],
+                                         static_cast<Time>(1 + i % 2));
+    b.add_cond_edge(d, t, Literal{c, true}, 2);
+    b.add_cond_edge(d, next, Literal{c, false}, 2);
+    d = next;
+  }
+  return b.build();
+}
+
 /// FNV-1a 64 of a table's CSV rendering.
 inline std::uint64_t table_digest(const ScheduleTable& table) {
   std::uint64_t h = 1469598103934665603ull;
